@@ -7,17 +7,30 @@ gossiping sampled IDs so nodes can detect approximately-similar neighborhoods
 without ever shipping a neighborhood across an edge, and then agreeing on a
 minimum-ID anchor per group. All decisions use one ID (or one bit) per edge
 per round.
+
+The simulator runs the construction as array passes over the graph's CSR
+arrays (`indptr`, `indices`, `edge_src`): gossip multiplicities are counted
+by sorting (receiver, ID) keys in blocks of receivers, F-edges are looked up
+in the sorted edge keys, and the groups' connectivity and depth come from one
+multi-source BFS. Node streams are drawn in a fixed per-node order: one draw
+for S-membership, then one pick and one forwarding coin per gossip
+repetition, so the result does not depend on how the passes are arranged.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .graphs import Graph, density_oracle
 from .sim import Network, SimError
+
+# gossip and adoption pairs sorted at once, at most: the receivers are counted
+# in blocks of _PAIR_BUDGET // (Delta * reps) nodes
+_PAIR_BUDGET = 1 << 20
 
 
 @dataclass
@@ -31,11 +44,18 @@ class AlmostCliqueDecomposition:
     skipped: bool = False  # small-Delta instances route everything to sparse
     f_edges: list = field(default_factory=list)  # detected similar-pair edges
 
+    _home: dict | None = field(default=None, init=False, repr=False, compare=False)
+
     def clique_of(self, v: int):
-        for ac, members in self.cliques.items():
-            if v in members:
-                return ac
-        return None
+        """AC-ID of the first almost-clique holding v, None for sparse nodes.
+        The node -> clique map is built on the first call, so `cliques` must
+        not change after it."""
+        if self._home is None:
+            self._home = {}
+            for ac, members in self.cliques.items():
+                for u in members:
+                    self._home.setdefault(u, ac)
+        return self._home.get(v)
 
 
 def compute_acd(network: Network, delta: float | None = None) -> AlmostCliqueDecomposition:
@@ -71,6 +91,7 @@ def compute_acd(network: Network, delta: float | None = None) -> AlmostCliqueDec
 
     sqrt_d = math.sqrt(big_d)
     n = g.n
+    id_bits = min(network.id_bits, network.bandwidth_bits)
 
     # At desk-scale Delta the literal detection thresholds sit exactly at the
     # expected gossip counts and never separate (the analysis assumes
@@ -87,142 +108,181 @@ def compute_acd(network: Network, delta: float | None = None) -> AlmostCliqueDec
     exp_count = reps * big_d * forward_p / exp_s_deg  # per friend edge
 
     # step 1: sample S
-    in_s = [network.rng(v).random() < p_s for v in range(n)]
-    # everyone learns which neighbors are sampled (one bit per edge)
-    s_nbrs = [[u for u in g.neighbors[v] if in_s[u]] for v in range(n)]
+    in_s = np.fromiter(
+        (network.rng(v).random() < p_s for v in range(n)), dtype=bool, count=n
+    )
+    # everyone learns which neighbors are sampled (one bit per edge); the
+    # sampled neighbors of v are s_nbrs[s_ptr[v]:s_ptr[v + 1]], ascending
+    s_edge = in_s[g.indices]
+    s_nbrs = g.indices[s_edge]
+    s_deg = np.bincount(g.edge_src[s_edge], minlength=n)
+    s_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(s_deg, out=s_ptr[1:])
     network.charge_phase("acd_sample", 1, 2 * g.m, 1)
 
-    # step 2: gossip one sampled-neighbor ID to sampled neighbors
-    counts: list = [Counter() for _ in range(n)]
-    gossip_msgs = 0
-    for _ in range(reps):
-        for v in range(n):
-            sn = s_nbrs[v]
-            if not sn:
-                continue
-            rng = network.rng(v)
-            pick = sn[int(rng.integers(len(sn)))]
-            if rng.random() < min(1.0, len(sn) / (2.0 * sqrt_d)):
-                for u in sn:
-                    counts[u][pick] += 1
-                    gossip_msgs += 1
-    network.charge_phase(
-        "acd_gossip", reps, gossip_msgs,
-        min(network.id_bits, network.bandwidth_bits),
-    )
+    # step 2: per repetition, every node with a sampled neighbor picks one
+    # and forwards its ID to all sampled neighbors with probability
+    # deg_S/(2 sqrt Delta). Draws stay scalar and per node, so each stream
+    # sees one pick and one coin per repetition.
+    senders = np.flatnonzero(s_deg)
+    picks, coins = [], []
+    for v, k in zip(senders.tolist(), s_deg[senders].tolist()):
+        rng = network.rng(v)
+        for _ in range(reps):
+            picks.append(rng.integers(k))
+            coins.append(rng.random())
+    picks = np.array(picks, dtype=np.int64).reshape(-1, reps)
+    coins = np.array(coins, dtype=np.float64).reshape(-1, reps)
+    forwards = coins < np.minimum(1.0, s_deg[senders] / (2.0 * sqrt_d))[:, None]
+    # sent[v, r]: the ID v forwarded in repetition r, -1 if it stayed silent
+    sent = np.full((n, reps), -1, dtype=np.int64)
+    sent[senders] = np.where(forwards, s_nbrs[s_ptr[senders][:, None] + picks], -1)
+    gossip_msgs = int((forwards.sum(axis=1) * s_deg[senders]).sum())
+    network.charge_phase("acd_gossip", reps, gossip_msgs, id_bits)
 
-    # step 3: similarity detection from gossip multiplicities
+    # step 3: a sampled node detects the IDs it heard often enough
     sim_threshold = margin * (1.0 - 2.0 * delta) * exp_count
-    detects = [
-        {w for w, c in counts[u].items() if c >= sim_threshold} if in_s[u] else set()
-        for u in range(n)
-    ]
+    detected = _frequent_pairs(g, sent, sim_threshold, receivers=in_s)
 
     # step 4: F-edges — either endpoint detected the other (one-bit notify)
-    f_nbrs = [set() for _ in range(n)]
-    notify_msgs = 0
-    for u in range(n):
-        for w in detects[u]:
-            if g.has_edge(u, w):
-                f_nbrs[u].add(w)
-                f_nbrs[w].add(u)
-                notify_msgs += 1
-    network.charge_phase("acd_fedges", 1, notify_msgs, 1)
-    f_edges = sorted(
-        (u, w) for u in range(n) for w in f_nbrs[u] if u < w
-    )
+    edge_keys = g.edge_src * n + g.indices  # ascending: CSR rows are sorted
+    pos = np.minimum(np.searchsorted(edge_keys, detected), edge_keys.size - 1)
+    notified = detected[edge_keys[pos] == detected]
+    network.charge_phase("acd_fedges", 1, int(notified.size), 1)
+    u, w = np.divmod(notified, n)
+    f_u, f_w = np.divmod(np.unique(np.minimum(u, w) * n + np.maximum(u, w)), n)
+    f_edges = list(zip(f_u.tolist(), f_w.tolist()))
+    f_src = np.concatenate([f_u, f_w])  # both directions of every F-edge
+    f_dst = np.concatenate([f_w, f_u])
 
     # step 5: dense core of S
     dense_threshold = margin * (1.0 - 2.0 * delta) * exp_s_deg
-    in_s_dense = [
-        in_s[u] and len(f_nbrs[u]) > dense_threshold for u in range(n)
-    ]
+    in_s_dense = in_s & (np.bincount(f_src, minlength=n) > dense_threshold)
     network.charge_phase("acd_sdense", 1, 2 * g.m, 1)  # S_dense bit exchange
 
     # step 6: each dense-core node broadcasts its min dense-core F-neighbor
-    proposals = {}
-    for u in range(n):
-        if in_s_dense[u]:
-            cand = [w for w in f_nbrs[u] if in_s_dense[w]]
-            if cand:
-                proposals[u] = min(cand)
-    bc_msgs = sum(g.degree(u) for u in proposals)
-    network.charge_phase(
-        "acd_anchor", 1, bc_msgs, min(network.id_bits, network.bandwidth_bits)
-    )
+    core = in_s_dense[f_src] & in_s_dense[f_dst]
+    proposal = np.full(n, n, dtype=np.int64)
+    np.minimum.at(proposal, f_src[core], f_dst[core])
+    proposal[proposal == n] = -1
+    bc_msgs = int(g.degrees[proposal >= 0].sum())
+    network.charge_phase("acd_anchor", 1, bc_msgs, id_bits)
 
     # step 7: adoption by multiplicity
     adopt_threshold = margin * (1.0 - 11.0 * delta) * exp_s_deg
-    adopted: list = [None] * n
-    for v in range(n):
-        recv = Counter()
-        for u in g.neighbors[v]:
-            if u in proposals:
-                recv[proposals[u]] += 1
-        winners = [a for a, c in recv.items() if c >= adopt_threshold]
-        if len(winners) > 1:
-            raise SimError(f"node {v} qualifies for {len(winners)} anchors")
-        if winners:
-            adopted[v] = winners[0]
+    won_v, won_anchor = np.divmod(_frequent_pairs(g, proposal, adopt_threshold), n)
+    wins = np.bincount(won_v, minlength=n)
+    multi = np.flatnonzero(wins > 1)
+    if multi.size:
+        v = int(multi[0])
+        raise SimError(f"node {v} qualifies for {int(wins[v])} anchors")
+    adopted = np.full(n, -1, dtype=np.int64)
+    adopted[won_v] = won_anchor
 
     # step 8: exchange adopted IDs, then leader-driven pruning
-    network.charge_phase(
-        "acd_adopt", 1, 2 * g.m, min(network.id_bits, network.bandwidth_bits)
+    network.charge_phase("acd_adopt", 1, 2 * g.m, id_bits)
+    joined = np.flatnonzero(adopted >= 0)
+    anchors, first, group = np.unique(
+        adopted[joined], return_index=True, return_inverse=True
     )
-    groups = defaultdict(set)
-    for v in range(n):
-        if adopted[v] is not None:
-            groups[adopted[v]].add(v)
+    # the anchor leads its group if it joined it, else the lowest member does
+    lowest = joined[first]
+    roots = np.where(adopted[anchors] == anchors, anchors, lowest)
+    inside = adopted[g.edge_src] == adopted[g.indices]
+    inside &= adopted[g.edge_src] >= 0
+    internal = np.bincount(g.edge_src[inside], minlength=n)
+    dist = _bfs_levels(internal, g.indices[inside], roots)
+    reached = np.bincount(group[dist[joined] < 0], minlength=anchors.size) == 0
+    depth = np.zeros(anchors.size, dtype=np.int64)
+    np.maximum.at(depth, group, dist[joined])
+    internal_min = np.full(anchors.size, n, dtype=np.int64)
+    np.minimum.at(internal_min, group, internal[joined])
+    # members grouped by group, ascending within each group
+    grouped = joined[np.argsort(group, kind="stable")]
+    sizes = np.bincount(group, minlength=anchors.size)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
 
     cliques = {}
     leaders = {}
-    sparse = {v for v in range(n) if adopted[v] is None}
+    sparse = set(np.flatnonzero(adopted < 0).tolist())
     size_floor = (1.0 - delta) * big_d
     internal_floor = (1.0 - 27.0 * delta) * big_d
     max_depth = 0
     prune_msgs = 0
-    id_bits = min(network.id_bits, network.bandwidth_bits)
-    for ac, members in groups.items():
-        leader = ac if ac in members else min(members)
-        reached, depth = _bfs_depth(g, members, leader)
-        if reached != members:
+    # groups in order of their lowest member; each members set is filled in
+    # ascending order and the cliques hold copies, as in the per-node
+    # formulation (tests/acd_reference.py), so that every set iterates in the
+    # same order for the stages whose draws follow it
+    for i in np.argsort(lowest, kind="stable").tolist():
+        members = set(grouped[starts[i]:ends[i]].tolist())
+        if not reached[i]:
             sparse |= members  # fragmented group cannot host an aggregation tree
             continue
-        max_depth = max(max_depth, depth)
+        max_depth = max(max_depth, int(depth[i]))
         prune_msgs += 3 * (len(members) - 1)
-        internal_min = min(
-            sum(1 for u in g.neighbors[v] if adopted[u] == ac) for v in members
-        )
-        if len(members) < size_floor or internal_min < internal_floor:
+        if len(members) < size_floor or internal_min[i] < internal_floor:
             sparse |= members
         else:
+            ac = int(anchors[i])
             cliques[ac] = set(members)
-            leaders[ac] = leader
+            leaders[ac] = int(roots[i])
     # count/min convergecast plus the keep-or-drop broadcast, run in parallel
     # across groups, so rounds are charged at the deepest tree
     network.charge_phase("acd_prune", 3 * max(1, max_depth), prune_msgs, id_bits)
 
-    network.log(-1, "acd", f"cliques={len(cliques)} sparse={len(sparse)}")
+    if network.trace is not None:
+        network.log(-1, "acd", f"cliques={len(cliques)} sparse={len(sparse)}")
     return AlmostCliqueDecomposition(
         g, sparse, cliques, leaders, eps, eta, f_edges=f_edges
     )
 
 
-def _bfs_depth(g: Graph, members: set, root: int):
-    seen = {root}
-    frontier = [root]
-    depth = 0
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors[u]:
-                if w in members and w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if nxt:
-            depth += 1
-        frontier = nxt
-    return seen, depth
+def _frequent_pairs(g: Graph, values, threshold: float, receivers=None):
+    """Sorted keys r*n + x of the (receiver r, value x) pairs that arrive at
+    least `threshold` times, when every neighbor s of r delivers each entry
+    x >= 0 of values[s] (a vector of length n, or an (n, reps) table).
+
+    `receivers` (a boolean mask) limits who counts. Receivers are taken in
+    blocks of about _PAIR_BUDGET / (Delta * reps) nodes, so at most about
+    _PAIR_BUDGET pairs are sorted at once.
+    """
+    n = g.n
+    values = values.reshape(n, -1)
+    block = max(1, _PAIR_BUDGET // (g.delta * values.shape[1]))
+    found = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, n, block):
+        a, b = g.indptr[lo], g.indptr[min(n, lo + block)]
+        recv, send = g.edge_src[a:b], g.indices[a:b]
+        if receivers is not None:
+            keep = receivers[recv]
+            recv, send = recv[keep], send[keep]
+        heard = values[send]
+        keys = (recv[:, None] * n + heard)[heard >= 0]
+        keys, counts = np.unique(keys, return_counts=True)
+        found.append(keys[counts >= threshold])
+    return np.concatenate(found)
+
+
+def _bfs_levels(degree, nbrs, roots):
+    """Hop distance of every node from its root, -1 where unreached, by one
+    level-synchronous BFS from all roots at once over the CSR adjacency with
+    row lengths `degree` and targets `nbrs`."""
+    ptr = np.zeros(degree.size + 1, dtype=np.int64)
+    np.cumsum(degree, out=ptr[1:])
+    dist = np.full(degree.size, -1, dtype=np.int64)
+    dist[roots] = 0
+    frontier = roots
+    level = 0
+    while frontier.size:
+        lens = degree[frontier]
+        # edge slots of the frontier's rows, row after row
+        offsets = np.repeat(ptr[frontier] - np.cumsum(lens) + lens, lens)
+        reach = nbrs[offsets + np.arange(offsets.size)]
+        frontier = np.unique(reach[dist[reach] < 0])
+        level += 1
+        dist[frontier] = level
+    return dist
 
 
 # ---------------------------------------------------------------------------

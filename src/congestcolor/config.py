@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
+from typing import get_args, get_type_hints
 
 
 @dataclass
@@ -57,7 +58,11 @@ class SimConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "SimConfig":
-        types = {f.name: f for f in fields(cls)}
+        """Parse `key=value` lines; each value takes its field's annotated type."""
+        types = {}
+        for name, hint in get_type_hints(cls).items():
+            # `int | None` parses as int (None is never serialized)
+            types[name] = next(t for t in (*get_args(hint), hint) if t is not type(None))
         kwargs = {}
         for raw in text.splitlines():
             line = raw.strip()
@@ -68,16 +73,8 @@ class SimConfig:
             if key not in types:
                 raise ValueError(f"unknown config key {key}")
             value = value.strip()
-            if key in ("mode",):
-                kwargs[key] = value
-            elif key in ("trace",):
+            if types[key] is bool:
                 kwargs[key] = value.lower() in ("1", "true", "yes")
-            elif key in (
-                "b_factor", "bandwidth_bits", "load_cap", "k1", "k2", "k3",
-                "k4", "k5", "k6", "overlay_round_mult", "r_cap", "max_agg_bits",
-                "acd_gossip_reps", "n_max_component",
-            ):
-                kwargs[key] = int(value)
             else:
-                kwargs[key] = float(value)
+                kwargs[key] = types[key](value)
         return cls(**kwargs).validate()

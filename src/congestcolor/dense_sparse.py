@@ -87,8 +87,9 @@ def layer_schedule(network: Network, delta: int | None = None):
         fallback = True
         lam_floor = cfg.c_layer * logn * logn
         tail = [min(0.5, lam_floor / delta)]
-        network.log(-1, "layer_fallback",
-                    f"t=1 p1={tail[0]:.5f} lam={delta * tail[0]:.1f}")
+        if network.trace is not None:
+            network.log(-1, "layer_fallback",
+                        f"t=1 p1={tail[0]:.5f} lam={delta * tail[0]:.1f}")
     probs = [Fraction(p) for p in tail]
     p0 = 1 - sum(probs)
     if p0 <= 0:
@@ -205,7 +206,7 @@ def synchronized_color_trial(network: Network, acd, overlays, layer: int,
         for v in active:
             st = network.states[v]
             size = min(pi_size, st.palette_size())
-            if size < pi_size:
+            if size < pi_size and network.trace is not None:
                 network.log(v, "subpalette_clamp", f"{pi_size}->{size}")
             sub[v] = st.sample_colors(network.rng(v), size)
         ship = [RoutingRequest(v, leader, size=len(sub[v]))
@@ -219,7 +220,8 @@ def synchronized_color_trial(network: Network, acd, overlays, layer: int,
             avail = [c for c in sub[v] if c not in taken]
             if not avail:
                 failures += 1
-                network.log(v, "assignment_failure", f"layer={layer}")
+                if network.trace is not None:
+                    network.log(v, "assignment_failure", f"layer={layer}")
                 continue
             c = avail[int(leader_rng.integers(len(avail)))]
             taken.add(c)

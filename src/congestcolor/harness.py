@@ -27,7 +27,7 @@ from .dense_sparse import (
 )
 from .graphs import Graph, PaletteAssignment, generate, make_palettes, verify_coloring
 from .overlay import compute_overlay, verify_overlay
-from .sim import SimError, new_network
+from .sim import SimError, bandwidth_bits, new_network
 from .small_degree import color_small_degree
 from .trials import slack_generation
 
@@ -174,7 +174,7 @@ def sweep(spec: dict, outdir: str | None = None) -> list:
                 "rounds": report.stats["rounds"],
                 "messages": report.stats["total_messages"],
                 "max_edge_bits": report.stats["max_edge_bits_per_round"],
-                "bandwidth": _bandwidth(graph.n, config),
+                "bandwidth": bandwidth_bits(graph.n, config),
                 "colors_used": report.colors_used,
                 "valid": report.valid,
             })
@@ -184,12 +184,6 @@ def sweep(spec: dict, outdir: str | None = None) -> list:
         with open(os.path.join(outdir, "results.csv"), "w") as fh:
             fh.write(results_csv(rows))
     return rows
-
-
-def _bandwidth(n: int, config: SimConfig) -> int:
-    if config.bandwidth_bits is not None:
-        return int(config.bandwidth_bits)
-    return config.b_factor * max(1, math.ceil(math.log2(max(2, n))))
 
 
 _COLUMNS = ("model", "n", "delta", "seed", "branch", "rounds", "messages",

@@ -70,8 +70,9 @@ def compute_overlay(network: Network, clique, leader: int,
             raise SimError(
                 f"overlay requires epsilon <= 1/15 in theory mode, got {epsilon}"
             )
-        network.log(leader, "overlay_warn",
-                    f"epsilon {epsilon:.4f} above 1/15; slack margin not guaranteed")
+        if network.trace is not None:
+            network.log(leader, "overlay_warn",
+                        f"epsilon {epsilon:.4f} above 1/15; slack margin not guaranteed")
 
     rounds_before = network.round_counter
     # leader-rooted renumbering so members know |C| and all member IDs, after

@@ -124,6 +124,14 @@ class NodeState:
         return out
 
 
+def bandwidth_bits(n: int, config) -> int:
+    """Per-edge bits per round on an n-node network: the config's explicit
+    override, else b_factor * ceil(log2 n)."""
+    if config.bandwidth_bits is not None:
+        return int(config.bandwidth_bits)
+    return config.b_factor * max(1, math.ceil(math.log2(max(2, n))))
+
+
 def _bit_width(x: int) -> int:
     return max(1, int(x).bit_length())
 
@@ -140,10 +148,7 @@ class Network:
         self.master_seed = int(seed)
         self.id_bits = _bit_width(n - 1) if n > 1 else 1
         self.color_bits = _bit_width(palettes.colorspace_size)
-        if config.bandwidth_bits is not None:
-            self.bandwidth_bits = int(config.bandwidth_bits)
-        else:
-            self.bandwidth_bits = config.b_factor * max(1, math.ceil(math.log2(max(2, n))))
+        self.bandwidth_bits = bandwidth_bits(n, config)
         if self.bandwidth_bits < self.id_bits:
             raise SimError(
                 f"bandwidth {self.bandwidth_bits} bits below one-ID capacity "
@@ -246,7 +251,8 @@ class Network:
         if not st.palette_contains(c):
             raise SimError(f"node {v} colored off-palette with {c}")
         st.color = c
-        self.log(v, "color", str(c))
+        if self.trace is not None:
+            self.log(v, "color", str(c))
         for u in self.graph.neighbors[v]:
             su = self.states[u]
             su.uncolored_neighbors.discard(v)

@@ -72,7 +72,8 @@ def slack_generation(network: Network) -> list:
         v for v in range(network.graph.n)
         if network.rng(v).random() < p
     ]
-    network.log(-1, "slack_sample", str(len(sampled)))
+    if network.trace is not None:
+        network.log(-1, "slack_sample", str(len(sampled)))
     return random_color_trial(network, sampled, phase="slack_generation")
 
 
@@ -84,14 +85,16 @@ def multi_trial(network: Network, v: int, k: int, palette=None) -> list:
     if palette is not None:
         pal = sorted(palette)
         if k > len(pal):
-            network.log(v, "multi_trial_clamp", f"{k}->{len(pal)}")
+            if network.trace is not None:
+                network.log(v, "multi_trial_clamp", f"{k}->{len(pal)}")
             k = len(pal)
         order = rng.permutation(len(pal))
         return [pal[int(i)] for i in order[:k]]
     st = network.states[v]
     live = st.palette_size()
     if k > live:
-        network.log(v, "multi_trial_clamp", f"{k}->{live}")
+        if network.trace is not None:
+            network.log(v, "multi_trial_clamp", f"{k}->{live}")
         k = live
     return st.sample_colors(rng, k)
 

@@ -222,3 +222,11 @@ def test_dump_format():
     text = dump_acd(acd)
     assert "sparse: 9" in text.splitlines()[0]
     assert "clique 0 leader 0: 0 1 2 3 4" in text
+
+
+def test_clique_of_first_holding_clique():
+    g = generate("complete", {"n": 6}, seed=0)
+    acd = AlmostCliqueDecomposition(
+        g, {5}, {3: {0, 1, 2}, 0: {2, 3, 4}}, {3: 0, 0: 3}, EPS, ETA
+    )
+    assert [acd.clique_of(v) for v in range(6)] == [3, 3, 3, 0, 0, None]

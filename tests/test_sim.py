@@ -169,3 +169,27 @@ def test_bandwidth_soundness_tracked():
         for u in network.graph.neighbors[v][:1]
     ])
     assert net.stats.max_edge_bits_per_round <= net.bandwidth_bits
+
+
+def test_untraced_coloring_logs_nothing(monkeypatch):
+    net = mk()
+    assert net.trace is None
+
+    def no_log(*args):
+        raise AssertionError("log called with tracing off")
+
+    monkeypatch.setattr(net, "log", no_log)
+    net.assign_color(0, min(net.states[0].palette()))
+    traced = mk(trace=True)
+    traced.assign_color(0, min(traced.states[0].palette()))
+    assert [e for _, _, e, _ in traced.trace] == ["color"]
+
+
+def test_config_text_round_trip():
+    cfg = SimConfig(mode="theory", bandwidth_bits=40, k1=7, epsilon=0.25, trace=True)
+    back = SimConfig.from_text(cfg.to_text())
+    assert back == cfg
+    assert type(back.k1) is int and type(back.epsilon) is float
+    assert SimConfig.from_text("trace=no\n").trace is False
+    with pytest.raises(ValueError, match="unknown config key"):
+        SimConfig.from_text("nope=1\n")
