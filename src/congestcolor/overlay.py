@@ -7,16 +7,33 @@ communication inside the clique costs only a constant factor over a true
 clique. The construction treats non-edges as vertices of a conflict graph and
 relays as colors: pairs sharing an endpoint must use distinct relays, which is
 exactly what caps the per-edge congestion at 2.
+
+`compute_overlay` works on one clique at a time. The sorted members get local
+indices, and an s x s boolean adjacency block is filled from their CSR rows.
+The block gives the clique's edge count, its non-edges in row-major (u, v)
+order, and the common-neighbor check (row ANDs). Each non-edge is handled by
+its higher endpoint. A handler's pairs share one sorted list of its clique
+neighbors as their apparent palette; a pair copies the list on its first
+permanent rejection. The node streams see a fixed sequence of draws: in each
+capped round, one `integers` call per pending pair from its handler's stream,
+in non-edge order; in each finishing round, one `permutation` call per
+pending pair (`multi_trial` on the same sorted palette).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .sim import Network, SimError
 from .trials import multi_trial
+
+# bytes of the row-AND temporary in the common-neighbor check
+_AND_BUDGET = 1 << 24
 
 
 @dataclass
@@ -44,6 +61,23 @@ def _non_edges(graph, members):
         nbrs = graph.neighbor_sets[u]
         out.extend((u, v) for v in ms[i + 1:] if v not in nbrs)
     return out
+
+
+def _adjacency_block(graph, ms):
+    """Boolean adjacency among the sorted members `ms` (an int64 array):
+    entry [i, j] says whether ms[i] and ms[j] are adjacent. Filled from the
+    members' CSR rows, whose entries outside the clique are dropped."""
+    s = len(ms)
+    lo = graph.indptr[ms]
+    lengths = graph.indptr[ms + 1] - lo
+    rows = np.repeat(np.arange(s), lengths)
+    starts = np.cumsum(lengths) - lengths
+    nbrs = graph.indices[np.arange(int(lengths.sum())) + np.repeat(lo - starts, lengths)]
+    cols = np.minimum(np.searchsorted(ms, nbrs), s - 1)
+    inside = ms[cols] == nbrs
+    block = np.zeros((s, s), dtype=bool)
+    block[rows[inside], cols[inside]] = True
+    return block
 
 
 def compute_overlay(network: Network, clique, leader: int,
@@ -81,51 +115,73 @@ def compute_overlay(network: Network, clique, leader: int,
                            {v: 1 for v in members}, phase="overlay_setup")
     network.tree_aggregate(members, leader, "broadcast",
                            {leader: len(members)}, phase="overlay_setup")
-    m_int = sum(
-        1 for u in members for w in g.neighbors[u] if w in members
-    ) // 2
+    ms = np.array(sorted(members), dtype=np.int64)
+    block = _adjacency_block(g, ms)
+    m_int = int(block.sum()) // 2
     network.charge_phase("overlay_setup", 1, 2 * m_int,
                          min(network.id_bits, network.bandwidth_bits))
 
+    # non-edges (ms[i], ms[j]) with i < j, in row-major order
+    iu, iv = np.nonzero(np.triu(~block, 1))
+    step = max(1, _AND_BUDGET // len(ms))
+    for a in range(0, len(iu), step):
+        has_common = (block[iu[a:a + step]] & block[iv[a:a + step]]).any(axis=1)
+        if not has_common.all():
+            i = a + int(np.argmin(has_common))
+            raise SimError(
+                f"non-edge ({ms[iu[i]]},{ms[iv[i]]}) has no common neighbor in clique"
+            )
+
+    # pair (u, v) -> apparent palette of its handler v, the higher endpoint:
+    # v only knows its own adjacencies, so it starts from all its clique
+    # neighbors and prunes on rejections; v's pairs share one sorted list
+    # until their first prune
+    ids = ms.tolist()
+    shared = {}
+    rngs = {}
     pending = {}
-    for u, v in _non_edges(g, members):
-        common = g.neighbor_sets[u] & g.neighbor_sets[v] & members
-        if not common:
-            raise SimError(f"non-edge ({u},{v}) has no common neighbor in clique")
-        handler = max(u, v)
-        # apparent palette: the handler only knows its own adjacencies, so it
-        # starts from all its clique neighbors and prunes on rejections
-        apparent = set(g.neighbor_sets[handler] & members)
-        pending[(u, v)] = [handler, apparent, common]
+    for i, j in zip(iu.tolist(), iv.tolist()):
+        handler = ids[j]
+        if handler not in shared:
+            shared[handler] = ms[block[j]].tolist()
+            rngs[handler] = network.rng(handler)
+        pending[(ids[i], handler)] = shared[handler]
 
     relays = {}
-    serving = defaultdict(list)      # relay -> endpoint list of granted pairs
+    serving = defaultdict(set)       # relay -> endpoints of granted pairs
     grant_bits = 2 * network.id_bits + 1
     if grant_bits > network.bandwidth_bits:
         raise SimError("overlay grant message exceeds bandwidth")
+    nbr = g.neighbor_sets
+
+    def prune(pair, w):
+        """Permanent rejection: drop w from the pair's apparent palette."""
+        apparent = pending[pair]
+        if apparent is shared[pair[1]]:
+            apparent = pending[pair] = list(apparent)
+        i = bisect_left(apparent, w)
+        if i < len(apparent) and apparent[i] == w:
+            del apparent[i]
 
     def relay_round(proposals):
-        """One paired round: proposals is {(u,v): [candidate relays]}.
-        Returns the set of pairs granted this round."""
+        """One paired round: proposals is {(u,v): [distinct candidate
+        relays]}. Granted pairs get their relay and leave `pending`."""
         by_relay = defaultdict(list)
         messages = 0
         for pair, cands in proposals.items():
-            handler = pending[pair][0]
-            used = set()
             for w in cands:
-                if w in used:
-                    continue  # one proposal per (handler, relay) edge
-                used.add(w)
                 by_relay[w].append(pair)
-                messages += 1
+            messages += len(cands)
         tentative = defaultdict(list)
         for w, reqs in sorted(by_relay.items()):
             usable = []
+            served = serving[w]
             for pair in sorted(reqs):
-                if w not in pending[pair][2]:
-                    pending[pair][1].discard(w)      # permanent: not a common nbr
-                elif any(e in pair for e in serving[w]):
-                    pending[pair][1].discard(w)      # permanent: endpoint clash
+                u, v = pair
+                if w not in nbr[u] or w not in nbr[v]:
+                    prune(pair, w)                   # permanent: not a common nbr
+                elif u in served or v in served:
+                    prune(pair, w)                   # permanent: endpoint clash
                 else:
                     usable.append(pair)
             if usable:
@@ -138,14 +194,13 @@ def compute_overlay(network: Network, clique, leader: int,
         for pair, ws in tentative.items():
             w = min(ws)   # handler keeps the lowest grant, releases the rest
             granted[pair] = w
-            serving[w].extend(pair)
+            serving[w].update(pair)
             messages += len(ws)                      # accept/release notices
         for pair, w in granted.items():
             relays[frozenset(pair)] = w
             del pending[pair]
         network.charge_phase("overlay_pair", 2, messages,
                              min(grant_bits, network.bandwidth_bits))
-        return granted
 
     # duplicate candidates within one handler are dropped (not colored this
     # round), mirroring the one-message-per-edge constraint
@@ -157,10 +212,11 @@ def compute_overlay(network: Network, clique, leader: int,
             break
         proposals = {}
         handler_picks = defaultdict(set)
-        for pair, (handler, apparent, _) in pending.items():
+        for pair, apparent in pending.items():
+            handler = pair[1]
             if not apparent:
                 raise SimError(f"overlay: pair {pair} ran out of candidate relays")
-            w = sorted(apparent)[int(network.rng(handler).integers(len(apparent)))]
+            w = apparent[int(rngs[handler].integers(len(apparent)))]
             if w in handler_picks[handler]:
                 continue  # same color sampled twice by one handler: skip round
             handler_picks[handler].add(w)
@@ -175,7 +231,8 @@ def compute_overlay(network: Network, clique, leader: int,
             break
         proposals = {}
         handler_edges = defaultdict(set)
-        for pair, (handler, apparent, _) in pending.items():
+        for pair, apparent in pending.items():
+            handler = pair[1]
             if not apparent:
                 raise SimError(f"overlay: pair {pair} ran out of candidate relays")
             cands = multi_trial(network, handler, k, palette=apparent)
