@@ -24,9 +24,7 @@ class SimConfig:
     c_p: float = 2.0                 # sub-palette size constant
     c_small: float = 1.0             # small-degree branch threshold constant
     c_theory: float = 1.0            # theory-mode Delta >= c*log^2 n assertion
-    epsilon: float = 1.0 / 3.0
-    eta: float = 1.0 / 324.0         # epsilon / 108
-    delta_acd: float = 1.0 / 81.0    # epsilon / 27
+    delta_acd: float = 1.0 / 81.0    # acd derives epsilon = 27 * delta_acd
     p_sample: float = 0.05           # slack-generation sampling probability
     # decomposition calibration (practical mode; theory mode pins all three to
     # the literal values 1.0 / 1 / 1.0 so thresholds match the analysis)
@@ -35,7 +33,6 @@ class SimConfig:
     acd_margin: float = 0.5          # detection thresholds = margin * expectation
     overlay_round_mult: int = 2      # paired-round cap multiplier
     instance_mult: float = 2.0       # parallel coloring instances: a*log2 n
-    r_cap: int = 12                  # routing round ceiling used in audits
     max_agg_bits: int = 4096         # widest value tree_aggregate accepts
     n_max_component: int = 20000     # shattered-component size ceiling
     trace: bool = False

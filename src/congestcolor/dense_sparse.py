@@ -26,7 +26,7 @@ import numpy as np
 from .overlay import RoutingRequest, route
 from .sim import Network, SimError
 from .small_degree import color_small_degree
-from .trials import random_color_trial, try_color_round
+from .trials import random_color_trial, trial_loop, try_color_round
 
 _LAYER_TAG = 0xD15E
 
@@ -139,18 +139,9 @@ def color_sparse_nodes(network: Network, acd) -> dict:
     start = network.stats.rounds
     sparse = sorted(acd.v_sparse)
     if sparse:
-        for _ in range(cfg.k1):
-            active = [v for v in sparse if network.states[v].color is None]
-            if not active:
-                break
-            random_color_trial(network, active, phase="sparse_warmup")
+        trial_loop(network, sparse, cfg.k1, "sparse_warmup")
         dlog = math.ceil(math.log2(max(2.0, math.log2(max(4, network.graph.delta)))))
-        for _ in range(cfg.k2 * dlog):
-            active = [v for v in sparse if network.states[v].color is None]
-            if not active:
-                break
-            random_color_trial(network, active, phase="sparse_loglog")
-        rest = [v for v in sparse if network.states[v].color is None]
+        rest = trial_loop(network, sparse, cfg.k2 * dlog, "sparse_loglog")
         if rest:
             color_small_degree(network, rest)
     return {"rounds": network.stats.rounds - start}
@@ -314,14 +305,8 @@ def color_dense_nodes(network: Network, acd, overlays, seed: int = 0) -> dict:
     # straight to the final low-degree sweep
     failures = 0
     for layer in range(1, t):
-        active = [v for v in dense
-                  if network.states[v].layer == layer
-                  and network.states[v].color is None]
-        for _ in range(cfg.k4):
-            active = [v for v in active if network.states[v].color is None]
-            if not active:
-                break
-            random_color_trial(network, active, phase="dense_layer_rct")
+        active = [v for v in dense if network.states[v].layer == layer]
+        trial_loop(network, active, cfg.k4, "dense_layer_rct")
         iters = cfg.k5 * math.ceil(math.log2(max(2.0, math.log2(max(4, g.delta)))))
         for it in range(iters):
             res = synchronized_color_trial(network, acd, overlays, layer,

@@ -62,6 +62,25 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.neighbor_sets[u]
 
+    def bfs(self, root: int, within, radius: int | None = None) -> dict:
+        """Hop distance from `root` of every node reachable inside the node
+        set `within` (at most `radius` hops if given), in visiting order:
+        level by level, each level in its parents' order and then by
+        ascending neighbor id."""
+        dist = {root: 0}
+        frontier = [root]
+        d = 0
+        while frontier and (radius is None or d < radius):
+            d += 1
+            nxt = []
+            for u in frontier:
+                for w in self.neighbors[u]:
+                    if w in within and w not in dist:
+                        dist[w] = d
+                        nxt.append(w)
+            frontier = nxt
+        return dist
+
     def edges(self):
         for u in range(self.n):
             for v in self.neighbors[u]:
@@ -319,10 +338,6 @@ def similarity_oracle(graph: Graph, u: int, v: int, gamma: float) -> bool:
     """gamma-similar: |N(u) cap N(v)| >= (1-gamma)*Delta."""
     inter = len(graph.neighbor_sets[u] & graph.neighbor_sets[v])
     return inter >= (1.0 - gamma) * graph.delta
-
-
-def friend_oracle(graph: Graph, u: int, v: int, gamma: float) -> bool:
-    return graph.has_edge(u, v) and similarity_oracle(graph, u, v, gamma)
 
 
 def density_oracle(graph: Graph, v: int, gamma: float) -> bool:

@@ -67,8 +67,20 @@ def small_degree_branch(graph: Graph, config: SimConfig) -> bool:
     return graph.delta <= config.c_small * logn ** 4
 
 
+def _check_lists(graph: Graph, palettes: PaletteAssignment):
+    """Reject an instance in which some node has no list or fewer than
+    deg(v)+1 colors, naming the first such node."""
+    for v in range(graph.n):
+        if v not in palettes.lists:
+            raise ValueError(f"node {v} has no color list")
+        if len(palettes.lists[v]) <= graph.degree(v):
+            raise ValueError(f"node {v} has {len(palettes.lists[v])} colors, "
+                             f"needs at least deg+1 = {graph.degree(v) + 1}")
+
+
 def run_pipeline(graph: Graph, palettes: PaletteAssignment, config: SimConfig,
                  seed: int) -> RunReport:
+    _check_lists(graph, palettes)
     net = new_network(graph, palettes, config, seed)
     trajectory = []
     acd_info = {}

@@ -267,13 +267,6 @@ class Network:
     def uncolored(self) -> list:
         return [v for v, st in enumerate(self.states) if st.color is None]
 
-    def uncolored_degree_histogram(self) -> dict:
-        hist = defaultdict(int)
-        for v, st in enumerate(self.states):
-            if st.color is None:
-                hist[len(st.uncolored_neighbors)] += 1
-        return dict(hist)
-
     # -- tree aggregation ----------------------------------------------------
 
     def _bfs_tree(self, cluster: frozenset, root: int):
@@ -281,23 +274,10 @@ class Network:
         cached = self._tree_cache.get(key)
         if cached is not None:
             return cached
-        parent = {root: None}
-        depth = {root: 0}
-        frontier = [root]
-        d = 0
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in self.graph.neighbors[u]:
-                    if w in cluster and w not in parent:
-                        parent[w] = u
-                        depth[w] = d + 1
-                        nxt.append(w)
-            frontier = nxt
-            d += 1
-        if len(parent) != len(cluster):
+        depth = self.graph.bfs(root, cluster)
+        if len(depth) != len(cluster):
             raise SimError("tree_aggregate: cluster is not connected")
-        tree = (parent, depth, max(depth.values(), default=0))
+        tree = (depth, max(depth.values()))
         self._tree_cache[key] = tree
         return tree
 
@@ -320,7 +300,7 @@ class Network:
                 f"aggregate value of {value_bits} bits exceeds configured "
                 f"maximum {self.config.max_agg_bits}"
             )
-        parent, depth, tree_depth = self._bfs_tree(cluster, root)
+        depth, tree_depth = self._bfs_tree(cluster, root)
         chunk = self.chunks(value_bits)
         members = len(cluster)
         if op == "broadcast":

@@ -25,7 +25,7 @@ import numpy as np
 import sympy
 
 from .sim import Network, SimError
-from .trials import random_color_trial
+from .trials import trial_loop
 
 # ---------------------------------------------------------------------------
 # cluster decomposition
@@ -35,14 +35,9 @@ from .trials import random_color_trial
 class Cluster:
     nodes: frozenset
     root: int
-    parent: dict
-    depth: dict
+    tree_depth: int                  # depth of the BFS tree from root
     diameter: int
     class_index: int = -1
-
-    @property
-    def tree_depth(self) -> int:
-        return max(self.depth.values(), default=0)
 
 
 @dataclass
@@ -62,8 +57,8 @@ def shatter(network: Network, subgraph) -> list:
     Runs k6*ceil(log2 Delta_H) trial iterations, splits the survivors into a
     low- and a high-degree group at half the maximum uncolored degree, gives
     the high-degree group the same number of extra iterations, and then
-    flood-fills the remaining uncolored components (charging diameter-many
-    rounds).
+    flood-fills the remaining uncolored components (charging, in rounds, the
+    largest eccentricity of a component's lowest-ID node).
     """
     cfg = network.config
     h = [v for v in subgraph if network.states[v].color is None]
@@ -76,49 +71,24 @@ def shatter(network: Network, subgraph) -> list:
 
     dh = max((udeg(v) for v in h), default=0)
     iters = cfg.k6 * max(1, math.ceil(math.log2(max(2, dh))))
-    for _ in range(iters):
-        active = [v for v in h if network.states[v].color is None]
-        if not active:
-            break
-        random_color_trial(network, active, phase="small_shatter")
-
-    survivors = [v for v in h if network.states[v].color is None]
+    survivors = trial_loop(network, h, iters, "small_shatter")
     if survivors:
         thr = max((udeg(v) for v in survivors), default=0) / 2.0
         high = [v for v in survivors if udeg(v) > thr]
-        for _ in range(iters):
-            active = [v for v in high if network.states[v].color is None]
-            if not active:
-                break
-            random_color_trial(network, active, phase="small_shatter")
+        trial_loop(network, high, iters, "small_shatter")
 
+    g = network.graph
     remaining = {v for v in h if network.states[v].color is None}
     components = []
     seen = set()
     max_diam = 0
-    edge_count = 0
     for v in sorted(remaining):
-        if v in seen:
-            continue
-        comp = []
-        frontier = [v]
-        seen.add(v)
-        depth = 0
-        while frontier:
-            comp.extend(frontier)
-            nxt = []
-            for u in frontier:
-                for w in network.graph.neighbors[u]:
-                    if w in remaining:
-                        edge_count += 1
-                        if w not in seen:
-                            seen.add(w)
-                            nxt.append(w)
-            frontier = nxt
-            if nxt:
-                depth += 1
-        components.append(sorted(comp))
-        max_diam = max(max_diam, depth)
+        if v not in seen:
+            dist = g.bfs(v, remaining)
+            seen.update(dist)
+            components.append(sorted(dist))
+            max_diam = max(max_diam, max(dist.values()))
+    edge_count = sum(1 for u in remaining for w in g.neighbors[u] if w in remaining)
     if components:
         network.charge_phase(
             "small_components", max(1, max_diam), edge_count,
@@ -147,26 +117,16 @@ def decompose_clusters(network: Network, component,
     msgs = 0
     while remaining:
         root = min(remaining)
-        parent = {root: None}
-        depth = {root: 0}
-        frontier = [root]
-        d = 0
-        while frontier and d < r_cluster:
-            nxt = []
-            for u in frontier:
-                for w in g.neighbors[u]:
-                    if w in remaining and w not in parent:
-                        parent[w] = u
-                        depth[w] = d + 1
-                        nxt.append(w)
-                        msgs += 1
-            frontier = nxt
-            d += 1
-        nodes = frozenset(parent)
-        clusters.append(Cluster(nodes, root, parent, depth,
+        ball = g.bfs(root, remaining, r_cluster)
+        nodes = frozenset(ball)
+        tree_depth = max(ball.values())
+        clusters.append(Cluster(nodes, root, tree_depth,
                                 _induced_diameter(g, nodes)))
         remaining -= nodes
-        carve_rounds += d + 1
+        # one round per level searched (the last one, past the ball, finds
+        # nothing unless r_cluster cut the search off), plus one
+        carve_rounds += min(tree_depth + 1, r_cluster) + 1
+        msgs += len(ball) - 1
     network.charge_phase("small_decompose", carve_rounds, msgs,
                          min(network.id_bits, network.bandwidth_bits))
 
@@ -193,20 +153,7 @@ def _adjacent(g, a, b):
 
 
 def _induced_diameter(g, nodes):
-    best = 0
-    for s in nodes:
-        dist = {s: 0}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in g.neighbors[u]:
-                    if w in nodes and w not in dist:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        best = max(best, max(dist.values()))
-    return best
+    return max(max(g.bfs(s, nodes).values()) for s in nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +171,6 @@ class ColorMap:
 
     def map_color(self, color: int) -> int:
         return _poly_eval(_color_poly(color, self.p, self.degree), self.g, self.p)
-
-    def dump(self) -> str:
-        return (f"N {self.n_bound}\nc0 {self.c0}\np {self.p}\n"
-                f"d {self.degree}\ng {self.g}\n")
 
 
 def _minimal_c0(n_bound: int, u_size: int) -> float:
@@ -296,8 +239,7 @@ def _cluster_lists(network: Network, cluster: Cluster):
     }
 
 
-def reduce_colorspace(network: Network, cluster: Cluster,
-                      charge: bool = True) -> ColorMap:
+def reduce_colorspace(network: Network, cluster: Cluster) -> ColorMap:
     """Deterministically pick an evaluation point g whose induced map keeps
     every member's list size intact (hard-checked)."""
     lists = _cluster_lists(network, cluster)
@@ -346,15 +288,14 @@ def reduce_colorspace(network: Network, cluster: Cluster,
             scores.append(total / scale + y_term)
         prefix = prefix << 1 | (0 if scores[0] <= scores[1] else 1)
     g_point = prefix
-    if charge:
-        depth = max(1, cluster.tree_depth)
-        width = network.chunks(max(1, math.ceil(math.log2(scale * n_bound + 1))))
-        network.charge_phase(
-            "small_reduce", ell * 2 * depth * width,
-            ell * 2 * (len(cluster.nodes) - 1), min(
-                network.bandwidth_bits,
-                max(1, math.ceil(math.log2(scale * n_bound + 1)))),
-        )
+    depth = max(1, cluster.tree_depth)
+    width = network.chunks(max(1, math.ceil(math.log2(scale * n_bound + 1))))
+    network.charge_phase(
+        "small_reduce", ell * 2 * depth * width,
+        ell * 2 * (len(cluster.nodes) - 1), min(
+            network.bandwidth_bits,
+            max(1, math.ceil(math.log2(scale * n_bound + 1)))),
+    )
 
     if g_point >= p:
         raise SimError("colorspace reduction fixed an out-of-field point")

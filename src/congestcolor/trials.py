@@ -61,6 +61,18 @@ def random_color_trial(network: Network, active, phase: str = "rct") -> list:
     return try_color_round(network, picks, phase=phase)
 
 
+def trial_loop(network: Network, nodes, iters: int, phase: str) -> list:
+    """Up to `iters` random color trials on the still-uncolored `nodes`,
+    stopping once none is left; returns the uncolored ones in input order."""
+    states = network.states
+    for _ in range(iters):
+        active = [v for v in nodes if states[v].color is None]
+        if not active:
+            return active
+        random_color_trial(network, active, phase=phase)
+    return [v for v in nodes if states[v].color is None]
+
+
 def slack_generation(network: Network) -> list:
     """Sampled one-shot trial: each node independently joins S with the
     configured probability and one random color trial runs on G[S]. Non-sampled

@@ -1,6 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from congestcolor import graphs
 from congestcolor.graphs import (
@@ -164,3 +169,37 @@ def test_palette_sizes():
     assert all(len(pal.lists[v]) == g.delta + 1 for v in range(g.n))
     pal = make_palettes(g, seed=1, kind="deg_plus_one")
     assert all(len(pal.lists[v]) == g.degree(v) + 1 for v in range(g.n))
+
+
+@st.composite
+def bfs_cases(draw):
+    n = draw(st.integers(1, 12))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    within = set(draw(st.lists(st.integers(0, n - 1), max_size=n)))
+    root = draw(st.integers(0, n - 1))
+    within.add(root)
+    radius = draw(st.none() | st.integers(0, n))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k]), root, within, radius
+
+
+@settings(max_examples=200, deadline=None)
+@given(bfs_cases())
+def test_bfs_matches_shortest_paths_on_induced_subgraph(case):
+    g, root, within, radius = case
+    members = sorted(within)
+    index = {v: i for i, v in enumerate(members)}
+    adj = np.zeros((len(members), len(members)))
+    for u, v in g.edges():
+        if u in index and v in index:
+            adj[index[u], index[v]] = adj[index[v], index[u]] = 1
+    hops = shortest_path(csr_matrix(adj), unweighted=True, indices=index[root])
+    expected = {
+        v: int(hops[index[v]]) for v in members
+        if np.isfinite(hops[index[v]])
+        and (radius is None or hops[index[v]] <= radius)
+    }
+    dist = g.bfs(root, within, radius)
+    assert dist == expected
+    order = list(dist.values())
+    assert order[0] == 0 and order == sorted(order)

@@ -5,7 +5,13 @@ import pytest
 
 from congestcolor.cli import main
 from congestcolor.config import SimConfig
-from congestcolor.graphs import generate, make_palettes, save_edge_list, save_palettes
+from congestcolor.graphs import (
+    PaletteAssignment,
+    generate,
+    make_palettes,
+    save_edge_list,
+    save_palettes,
+)
 from congestcolor.harness import (
     load_results_csv,
     results_csv,
@@ -47,6 +53,25 @@ def test_clique_uses_exactly_delta_plus_one_colors():
     rep = run_on("complete", {"n": 65}, seed=2)
     assert rep.valid
     assert rep.colors_used == 65
+
+
+def test_missing_list_rejected_at_the_boundary():
+    g = generate("cycle", {"n": 64}, seed=0)
+    pal = make_palettes(g, seed=1, mode="shared")
+    del pal.lists[5]
+    with pytest.raises(ValueError, match="node 5 has no color list"):
+        run_pipeline(g, pal, SimConfig(), 0)
+
+
+def test_short_list_rejected_at_the_boundary():
+    g = generate("cycle", {"n": 64}, seed=0)
+    pal = PaletteAssignment(3, {v: frozenset((1, 2)) for v in range(g.n)})
+    with pytest.raises(ValueError, match=r"node 0 has 2 colors, needs at least deg\+1 = 3"):
+        run_pipeline(g, pal, SimConfig(), 0)
+    pal = make_palettes(g, seed=1, mode="shared")
+    pal.lists[13] = frozenset((1, 2))
+    with pytest.raises(ValueError, match="node 13 has 2 colors"):
+        run_pipeline(g, pal, SimConfig(), 0)
 
 
 def test_reports_reproducible():

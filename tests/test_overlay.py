@@ -171,6 +171,7 @@ def test_route_counts_every_delivery():
 
 def test_subpalette_gather_rounds_within_cap():
     # everyone ships ~log n colors to the leader at Delta = 128
+    r_cap = 12                       # routing round ceiling
     g = generate(
         "planted_almost_cliques", {"k": 1, "delta": 128, "removal": 0.05}, seed=5
     )
@@ -179,7 +180,7 @@ def test_subpalette_gather_rounds_within_cap():
         ov = compute_overlay(net, range(g.n), 0, epsilon=0.05)
         payload = max(1, round(net.bandwidth_bits / net.color_bits))
         reqs = [RoutingRequest(v, 0, size=payload) for v in range(1, g.n)]
-        assert route(net, ov, reqs) <= net.config.r_cap
+        assert route(net, ov, reqs) <= r_cap
 
 
 def test_dump_format():

@@ -186,10 +186,10 @@ def test_untraced_coloring_logs_nothing(monkeypatch):
 
 
 def test_config_text_round_trip():
-    cfg = SimConfig(mode="theory", bandwidth_bits=40, k1=7, epsilon=0.25, trace=True)
+    cfg = SimConfig(mode="theory", bandwidth_bits=40, k1=7, c_p=2.5, trace=True)
     back = SimConfig.from_text(cfg.to_text())
     assert back == cfg
-    assert type(back.k1) is int and type(back.epsilon) is float
+    assert type(back.k1) is int and type(back.c_p) is float
     assert SimConfig.from_text("trace=no\n").trace is False
     with pytest.raises(ValueError, match="unknown config key"):
         SimConfig.from_text("nope=1\n")
