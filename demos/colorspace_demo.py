@@ -30,7 +30,7 @@ def main():
     print(f"reduced field: p = {cmap.p} ({math.ceil(math.log2(cmap.p))} bits), "
           f"polynomial degree {cmap.degree}, evaluation point g = {cmap.g}")
     for v in sorted(cluster.nodes)[:3]:
-        pal = sorted(net.states[v].palette())
+        pal = net.palette(v)
         mapped = [cmap.map_color(c) for c in pal]
         print(f"\nnode {v}: {len(pal)} colors -> {len(set(mapped))} images")
         for c, m in list(zip(pal, mapped))[:4]:

@@ -375,11 +375,3 @@ def antidegree(acd: AlmostCliqueDecomposition, v: int) -> int:
     members = acd.cliques[home]
     nbrs = acd.graph.neighbor_sets[v]
     return sum(1 for u in members if u != v and u not in nbrs)
-
-
-def dump_acd(acd: AlmostCliqueDecomposition) -> str:
-    lines = ["sparse: " + " ".join(str(v) for v in sorted(acd.v_sparse))]
-    for ac in sorted(acd.cliques):
-        members = " ".join(str(v) for v in sorted(acd.cliques[ac]))
-        lines.append(f"clique {ac} leader {acd.leaders[ac]}: {members}")
-    return "\n".join(lines) + "\n"

@@ -114,17 +114,16 @@ def partition_layers(network: Network, clique, seed: int = 0) -> LayerPartition:
     round so neighbors know each member's layer."""
     t_prime, t, probs, lambdas, fallback = layer_schedule(network)
     cumulative = np.cumsum([float(p) for p in probs])
-    assignment = {}
     members = sorted(clique)
-    for v in members:
-        rng = np.random.default_rng([network.master_seed, _LAYER_TAG, seed, v])
-        layer = int(np.searchsorted(cumulative, rng.random(), side="right"))
-        layer = min(layer, t)
-        assignment[v] = layer
-        network.states[v].layer = layer
-    internal = sum(
-        1 for v in members for u in network.graph.neighbors[v] if u in clique
-    )
+    draws = [np.random.default_rng([network.master_seed, _LAYER_TAG, seed, v])
+             .random() for v in members]
+    layers = np.minimum(np.searchsorted(cumulative, draws, side="right"), t)
+    assignment = dict(zip(members, layers.tolist()))
+    ms = np.array(members, dtype=np.int64)
+    network.layer[ms] = layers
+    inside = np.zeros(network.graph.n, dtype=bool)
+    inside[ms] = True
+    internal = int(inside[network.graph.rows(ms)[1]].sum())
     network.charge_phase(
         "dense_partition", 1, internal,
         min(network.bandwidth_bits, max(1, (t + 1).bit_length())),
@@ -176,7 +175,7 @@ def synchronized_color_trial(network: Network, acd, overlays, layer: int,
         leader = acd.leaders[ac]
         active = sorted(
             v for v in members
-            if part.layer(v) == layer and network.states[v].color is None
+            if part.layer(v) == layer and network.color.item(v) < 0
         )
         t0 = network.round_counter
         # leader learns |R_i^C| and tells everyone
@@ -195,11 +194,10 @@ def synchronized_color_trial(network: Network, acd, overlays, layer: int,
         )
         sub = {}
         for v in active:
-            st = network.states[v]
-            size = min(pi_size, st.palette_size())
+            size = min(pi_size, network.palette_size(v))
             if size < pi_size and network.trace is not None:
                 network.log(v, "subpalette_clamp", f"{pi_size}->{size}")
-            sub[v] = st.sample_colors(network.rng(v), size)
+            sub[v] = network.sample_colors(v, network.rng(v), size)
         ship = [RoutingRequest(v, leader, size=len(sub[v]))
                 for v in active if v != leader]
         if ship:
@@ -232,27 +230,18 @@ def _layer_metrics(network: Network, acd, partitions, layer: int):
     """(max external uncolored same-layer degree, max same-layer degree,
     uncolored count) over the layer's members."""
     g = network.graph
-    in_layer = set()
-    clique_id = {}
-    for ac, part in partitions.items():
-        for v in acd.cliques[ac]:
-            if part.layer(v) == layer:
-                in_layer.add(v)
-                clique_id[v] = ac
-    max_e = 0
-    live = {v for v in in_layer if network.states[v].color is None}
-    uncolored = len(live)
-    for v in live:
-        ext = sum(1 for u in network.states[v].uncolored_neighbors
-                  if u in live and clique_id.get(u) != clique_id[v])
-        max_e = max(max_e, ext)
+    # index of each layer member's clique among the partitions, else -1
+    clique_of = np.full(g.n, -1, dtype=np.int64)
+    for i, (ac, part) in enumerate(partitions.items()):
+        clique_of[[v for v in acd.cliques[ac] if part.layer(v) == layer]] = i
+    live = np.flatnonzero((clique_of >= 0) & (network.color < 0))
+    src, nbrs = g.rows(live)
     # r_i(u) = |N(u) cap live|: count incidences from the live side
-    counts = np.zeros(g.n, dtype=np.int64)
-    for v in live:
-        lo, hi = g.indptr[v], g.indptr[v + 1]
-        np.add.at(counts, g.indices[lo:hi], 1)
-    max_r = int(counts.max()) if g.n else 0
-    return max_e, max_r, uncolored
+    max_r = int(np.bincount(nbrs, minlength=g.n).max())
+    ext = (clique_of[nbrs] >= 0) & (network.color[nbrs] < 0) \
+        & (clique_of[nbrs] != clique_of[live][src])
+    max_e = int(np.bincount(src[ext], minlength=live.size).max(initial=0))
+    return max_e, max_r, live.size
 
 
 def color_dense_nodes(network: Network, acd, overlays, seed: int = 0) -> dict:
@@ -282,10 +271,11 @@ def color_dense_nodes(network: Network, acd, overlays, seed: int = 0) -> dict:
     t = next(iter(partitions.values())).t
 
     # bulk layer: log-log many plain trials, then the low-degree finisher
-    r0 = [v for v in dense if network.states[v].layer == 0]
+    dense = np.array(dense, dtype=np.int64)
+    r0 = dense[network.layer[dense] == 0]
     loops = cfg.k3 * math.ceil(math.log2(_log2n(g.n)))
     for it in range(loops):
-        active = [v for v in r0 if network.states[v].color is None]
+        active = r0[network.color[r0] < 0].tolist()
         if not active:
             break
         random_color_trial(network, active, phase="dense_r0")
@@ -293,11 +283,10 @@ def color_dense_nodes(network: Network, acd, overlays, seed: int = 0) -> dict:
         trajectory.append((0, it, e, r, u))
     r0_sizes = {
         ac: sum(1 for v in acd.cliques[ac]
-                if partitions[ac].layer(v) == 0
-                and network.states[v].color is None)
+                if partitions[ac].layer(v) == 0 and network.color.item(v) < 0)
         for ac in partitions
     }
-    leftover0 = [v for v in r0 if network.states[v].color is None]
+    leftover0 = r0[network.color[r0] < 0].tolist()
     if leftover0:
         color_small_degree(network, leftover0)
 
@@ -305,7 +294,7 @@ def color_dense_nodes(network: Network, acd, overlays, seed: int = 0) -> dict:
     # straight to the final low-degree sweep
     failures = 0
     for layer in range(1, t):
-        active = [v for v in dense if network.states[v].layer == layer]
+        active = dense[network.layer[dense] == layer]
         trial_loop(network, active, cfg.k4, "dense_layer_rct")
         iters = cfg.k5 * math.ceil(math.log2(max(2.0, math.log2(max(4, g.delta)))))
         for it in range(iters):
@@ -317,7 +306,7 @@ def color_dense_nodes(network: Network, acd, overlays, seed: int = 0) -> dict:
             if u == 0:
                 break
 
-    rest = [v for v in dense if network.states[v].color is None]
+    rest = dense[network.color[dense] < 0].tolist()
     if rest:
         color_small_degree(network, rest)
     return {

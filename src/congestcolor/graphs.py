@@ -1,15 +1,13 @@
 """Graph construction, edge-list I/O, palettes, and ground-truth oracles.
 
-Everything in this module is pure and sequential. The validators here
-(`verify_coloring`, sparsity/density oracles, `greedy_list_coloring`) are the
-references that tests use to audit the distributed algorithms; they share no
-code with them.
+Everything in this module is pure. The validators here (`verify_coloring`,
+the similarity/density oracles) audit the distributed algorithms; they share
+no code with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -61,6 +59,14 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.neighbor_sets[u]
+
+    def rows(self, nodes):
+        """The CSR rows of `nodes` (an int64 array), one after another: for
+        each entry, the index in `nodes` of its row and the neighbor."""
+        lo = self.indptr[nodes]
+        lens = self.indptr[nodes + 1] - lo
+        slots = np.arange(int(lens.sum())) + np.repeat(lo - np.cumsum(lens) + lens, lens)
+        return np.repeat(np.arange(len(nodes)), lens), self.indices[slots]
 
     def bfs(self, root: int, within, radius: int | None = None) -> dict:
         """Hop distance from `root` of every node reachable inside the node
@@ -294,6 +300,9 @@ def save_palettes(palettes: PaletteAssignment) -> str:
 
 
 def load_palettes(text: str) -> PaletteAssignment:
+    """Parse `U <size>` and `<node>: <colors>` lines. A node listed twice,
+    or a color outside [1, U] when U is given, is a ValueError naming the
+    node."""
     u_size = 0
     lists = {}
     for raw in text.splitlines():
@@ -304,34 +313,21 @@ def load_palettes(text: str) -> PaletteAssignment:
             u_size = int(line.split()[1])
             continue
         head, _, tail = line.partition(":")
-        lists[int(head)] = frozenset(int(c) for c in tail.split())
-    if not u_size:
+        v = int(head)
+        if v in lists:
+            raise ValueError(f"node {v} is listed twice")
+        lists[v] = frozenset(int(c) for c in tail.split())
+    if u_size:
+        for v, s in lists.items():
+            if s and not 1 <= min(s) <= max(s) <= u_size:
+                raise ValueError(f"node {v} has a color outside [1, {u_size}]")
+    else:
         u_size = max((max(s) for s in lists.values() if s), default=1)
     return PaletteAssignment(colorspace_size=u_size, lists=lists)
 
 
 # ---------------------------------------------------------------------------
 # oracles
-
-
-def neighborhood_edge_count(graph: Graph, v: int) -> int:
-    """Number of edges inside N(v), by brute force over neighbor pairs."""
-    nbrs = graph.neighbors[v]
-    count = 0
-    for i, u in enumerate(nbrs):
-        us = graph.neighbor_sets[u]
-        for w in nbrs[i + 1:]:
-            if w in us:
-                count += 1
-    return count
-
-
-def local_sparsity(graph: Graph, v: int) -> Fraction:
-    """Exact local sparsity: (1/Delta) * (C(Delta,2) - m(N(v)))."""
-    d = graph.delta
-    if d < 1:
-        raise GraphError("local sparsity undefined for Delta < 1")
-    return Fraction(d * (d - 1) // 2 - neighborhood_edge_count(graph, v), d)
 
 
 def similarity_oracle(graph: Graph, u: int, v: int, gamma: float) -> bool:
@@ -379,26 +375,20 @@ def verify_coloring(
     coloring: dict,
     allow_partial: bool = False,
 ) -> ColoringReport:
-    mono = []
-    off_list = []
-    for u, v in graph.edges():
-        cu, cv = coloring.get(u), coloring.get(v)
-        if cu is not None and cu == cv:
-            mono.append((u, v))
-    for v, c in coloring.items():
-        if c not in palettes.lists[v]:
-            off_list.append(v)
-    uncolored = [v for v in range(graph.n) if v not in coloring]
-    return ColoringReport(mono, off_list, uncolored, allow_partial)
-
-
-def greedy_list_coloring(graph: Graph, palettes: PaletteAssignment) -> dict:
-    """Sequential greedy baseline; always succeeds on (deg+1)-list instances."""
-    coloring = {}
-    for v in range(graph.n):
-        used = {coloring[u] for u in graph.neighbors[v] if u in coloring}
-        avail = palettes.lists[v] - used
-        if not avail:
-            raise GraphError(f"greedy oracle stuck at node {v}")
-        coloring[v] = min(avail)
-    return coloring
+    """Audit a coloring with one pass over the edge arrays; monochromatic
+    edges come as (u, v) with u < v, ascending."""
+    n = graph.n
+    nodes = np.fromiter(coloring.keys(), np.int64, len(coloring))
+    outside = (nodes < 0) | (nodes >= n)
+    if outside.any():
+        raise GraphError(f"coloring names node {nodes[outside][0]}, not in [0, {n})")
+    col = np.zeros(n, dtype=np.int64)
+    col[nodes] = np.fromiter(coloring.values(), np.int64, len(coloring))
+    colored = np.zeros(n, dtype=bool)
+    colored[nodes] = True
+    src, dst = graph.edge_src, graph.indices
+    mono = (src < dst) & colored[src] & colored[dst] & (col[src] == col[dst])
+    mono_edges = list(zip(src[mono].tolist(), dst[mono].tolist()))
+    off_list = [v for v, c in coloring.items() if c not in palettes.lists[v]]
+    uncolored = np.flatnonzero(~colored).tolist()
+    return ColoringReport(mono_edges, off_list, uncolored, allow_partial)

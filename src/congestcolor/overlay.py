@@ -68,11 +68,7 @@ def _adjacency_block(graph, ms):
     entry [i, j] says whether ms[i] and ms[j] are adjacent. Filled from the
     members' CSR rows, whose entries outside the clique are dropped."""
     s = len(ms)
-    lo = graph.indptr[ms]
-    lengths = graph.indptr[ms + 1] - lo
-    rows = np.repeat(np.arange(s), lengths)
-    starts = np.cumsum(lengths) - lengths
-    nbrs = graph.indices[np.arange(int(lengths.sum())) + np.repeat(lo - starts, lengths)]
+    rows, nbrs = graph.rows(ms)
     cols = np.minimum(np.searchsorted(ms, nbrs), s - 1)
     inside = ms[cols] == nbrs
     block = np.zeros((s, s), dtype=bool)

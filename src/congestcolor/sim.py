@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -64,66 +65,6 @@ class RoundStats:
         }
 
 
-class NodeState:
-    """Per-node coloring state.
-
-    The palette is represented as the immutable initial list minus the set of
-    colors permanently taken by neighbors; this keeps memory proportional to
-    the number of removals rather than n * list size.
-    """
-
-    __slots__ = ("base", "base_set", "removed", "color", "uncolored_neighbors",
-                 "role", "layer")
-
-    def __init__(self, base_colors, neighbors):
-        self.base = tuple(sorted(base_colors))
-        self.base_set = frozenset(base_colors)
-        self.removed = set()
-        self.color = None
-        self.uncolored_neighbors = set(neighbors)
-        self.role = "undecided"   # "undecided" | "sparse" | int AC-ID
-        self.layer = None
-
-    def palette_size(self) -> int:
-        return len(self.base) - len(self.removed)
-
-    def palette_contains(self, c) -> bool:
-        return c in self.base_set and c not in self.removed
-
-    def palette(self) -> set:
-        return set(self.base_set) - self.removed
-
-    def sample_color(self, rng) -> int:
-        """Uniform draw from the current palette (rejection over the base list)."""
-        k = len(self.base)
-        live = k - len(self.removed)
-        if live <= 0:
-            raise SimError("empty palette")
-        while True:
-            c = self.base[int(rng.integers(k))]
-            if c not in self.removed:
-                return c
-
-    def sample_colors(self, rng, count: int) -> list:
-        """Uniform subset of the palette, without replacement, in draw order."""
-        live = self.palette_size()
-        count = min(count, live)
-        if count == live:
-            pal = sorted(self.palette())
-            # permute for draw-order semantics
-            order = rng.permutation(len(pal))
-            return [pal[int(i)] for i in order]
-        picked = set()
-        out = []
-        k = len(self.base)
-        while len(out) < count:
-            c = self.base[int(rng.integers(k))]
-            if c not in self.removed and c not in picked:
-                picked.add(c)
-                out.append(c)
-        return out
-
-
 def bandwidth_bits(n: int, config) -> int:
     """Per-edge bits per round on an n-node network: the config's explicit
     override, else b_factor * ceil(log2 n)."""
@@ -137,7 +78,14 @@ def _bit_width(x: int) -> int:
 
 
 class Network:
-    """A deterministic simulation instance over one graph + palette set."""
+    """A deterministic simulation instance over one graph + palette set.
+
+    Node state is held in arrays indexed by node id: `color` (-1 while
+    uncolored), `udeg` (uncolored neighbors) and `layer` (-1 until a layer
+    partition sets it). Node v's list is row v of a CSR of sorted colors,
+    `pal_colors[pal_ptr[v]:pal_ptr[v + 1]]`; `removed` marks the entries that
+    a colored neighbor took, and `live` counts the rest of each row.
+    """
 
     def __init__(self, graph: Graph, palettes: PaletteAssignment, config, seed: int):
         config.validate()
@@ -156,9 +104,29 @@ class Network:
             )
         self.round_counter = 0
         self.stats = RoundStats()
-        self.states = [
-            NodeState(palettes.lists[v], graph.neighbors[v]) for v in range(n)
-        ]
+        self.color = np.full(n, -1, dtype=np.int64)
+        self.udeg = graph.degrees.copy()
+        self.layer = np.full(n, -1, dtype=np.int64)
+        lists = palettes.lists
+        sizes = np.fromiter((len(lists[v]) for v in range(n)), np.int64, n)
+        self.pal_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(sizes, out=self.pal_ptr[1:])
+        colors = np.fromiter(chain.from_iterable(lists[v] for v in range(n)),
+                             np.int64, int(self.pal_ptr[-1]))
+        if colors.size and colors.min() < 0:
+            raise SimError("negative color in a list")
+        # entry key node * stride + color: sorting the keys sorts every row,
+        # and one searchsorted finds any (node, color) pair
+        self._stride = int(colors.max()) + 1 if colors.size else 1
+        if n * self._stride >= 1 << 63:
+            raise SimError(f"colors up to {self._stride - 1} on {n} nodes "
+                           f"overflow the 64-bit palette keys")
+        owner = np.repeat(np.arange(n, dtype=np.int64), sizes)
+        self._keys = owner * self._stride + colors
+        self._keys.sort()
+        self.pal_colors = self._keys - owner * self._stride
+        self.removed = np.zeros(colors.size, dtype=bool)
+        self.live = sizes
         self._rngs: dict = {}
         self._inboxes: dict = defaultdict(list)
         self._tree_cache: dict = {}
@@ -192,11 +160,6 @@ class Network:
     def log(self, node: int, event: str, detail: str = ""):
         if self.trace is not None:
             self.trace.append((self.round_counter, node, event, detail))
-
-    def trace_lines(self):
-        if self.trace is None:
-            return []
-        return [f"{r},{v},{e},{d}" for r, v, e, d in self.trace]
 
     # -- literal handler execution ------------------------------------------
 
@@ -244,28 +207,111 @@ class Network:
 
     # -- permanent coloring bookkeeping -------------------------------------
 
+    def palette(self, v: int) -> list:
+        """v's live colors, ascending."""
+        lo, hi = self.pal_ptr[v], self.pal_ptr[v + 1]
+        return self.pal_colors[lo:hi][~self.removed[lo:hi]].tolist()
+
+    def palette_size(self, v: int) -> int:
+        return self.live.item(v)
+
+    def palette_contains(self, v: int, c: int) -> bool:
+        return bool(self.in_palettes(np.array([v]), np.array([c]))[0])
+
+    def _find(self, nodes, colors):
+        """Entry index of each (node, color) pair in the palette CSR, and
+        whether the color is on the node's list at all."""
+        valid = (colors >= 0) & (colors < self._stride)
+        keys = nodes * self._stride + np.where(valid, colors, 0)
+        pos = np.searchsorted(self._keys, keys)
+        found = valid & (pos < self._keys.size)
+        found[found] = self._keys[pos[found]] == keys[found]
+        return pos, found
+
+    def in_palettes(self, nodes, colors):
+        """Mask: whether colors[i] is live in the palette of nodes[i]."""
+        pos, found = self._find(nodes, colors)
+        found[found] = ~self.removed[pos[found]]
+        return found
+
+    def sample_color(self, v: int, rng) -> int:
+        """Uniform draw from v's live palette: uniform entries of the full
+        sorted list until one is not removed."""
+        if self.live.item(v) <= 0:
+            raise SimError("empty palette")
+        lo = self.pal_ptr.item(v)
+        k = self.pal_ptr.item(v + 1) - lo
+        while True:
+            i = lo + int(rng.integers(k))
+            if not self.removed.item(i):
+                return self.pal_colors.item(i)
+
+    def sample_colors(self, v: int, rng, count: int) -> list:
+        """Uniform subset of v's live palette, without replacement, in draw
+        order: a permutation of the whole live palette when `count` covers
+        it, else rejection over the full sorted list."""
+        live = self.live.item(v)
+        count = min(count, live)
+        if count == live:
+            pal = self.palette(v)
+            return [pal[i] for i in rng.permutation(live).tolist()]
+        out = []
+        while len(out) < count:
+            c = self.sample_color(v, rng)
+            if c not in out:
+                out.append(c)
+        return out
+
     def assign_color(self, v: int, c: int):
-        st = self.states[v]
-        if st.color is not None:
-            raise SimError(f"node {v} recolored (had {st.color}, got {c})")
-        if not st.palette_contains(c):
-            raise SimError(f"node {v} colored off-palette with {c}")
-        st.color = c
+        self.assign_colors([v], [c])
+
+    def assign_colors(self, nodes, colors):
+        """Permanently color nodes[i] with colors[i], all in one step. The
+        nodes must be distinct and uncolored, each color live in its node's
+        palette, and no two adjacent nodes may get the same color; then the
+        end state equals that of assigning them one at a time."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        colors = np.asarray(colors, dtype=np.int64)
+        if not nodes.size:
+            return
+        bad = self.color[nodes] >= 0
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise SimError(f"node {nodes[i]} recolored "
+                           f"(had {self.color[nodes[i]]}, got {colors[i]})")
+        bad = ~self.in_palettes(nodes, colors)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise SimError(f"node {nodes[i]} colored off-palette with {colors[i]}")
+        if (np.diff(np.sort(nodes)) == 0).any():
+            raise SimError("a node is colored twice in one batch")
+        src, nbrs = self.graph.rows(nodes)
+        self.color[nodes] = colors
+        # a live color is on no colored neighbor outside the batch, so any
+        # neighbor with the same color now is a batch member
+        bad = self.color[nbrs] == colors[src]
+        if bad.any():
+            self.color[nodes] = -1
+            i = int(np.argmax(bad))
+            raise SimError(f"adjacent nodes {nodes[src[i]]} and {nbrs[i]} "
+                           f"both colored {colors[src[i]]}")
         if self.trace is not None:
-            self.log(v, "color", str(c))
-        for u in self.graph.neighbors[v]:
-            su = self.states[u]
-            su.uncolored_neighbors.discard(v)
-            if c in su.base_set:
-                su.removed.add(c)
+            for v, c in zip(nodes.tolist(), colors.tolist()):
+                self.log(v, "color", str(c))
+        np.subtract.at(self.udeg, nbrs, 1)
+        # strip each new color from the neighbors' lists that hold it
+        pos, found = self._find(nbrs, colors[src])
+        gone = np.sort(pos[found])
+        gone = gone[~self.removed[gone] & (np.diff(gone, prepend=-1) != 0)]
+        self.removed[gone] = True
+        np.subtract.at(self.live, self._keys[gone] // self._stride, 1)
 
     def coloring(self) -> dict:
-        return {
-            v: st.color for v, st in enumerate(self.states) if st.color is not None
-        }
+        done = np.flatnonzero(self.color >= 0)
+        return dict(zip(done.tolist(), self.color[done].tolist()))
 
     def uncolored(self) -> list:
-        return [v for v, st in enumerate(self.states) if st.color is None]
+        return np.flatnonzero(self.color < 0).tolist()
 
     # -- tree aggregation ----------------------------------------------------
 

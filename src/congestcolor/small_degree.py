@@ -61,24 +61,30 @@ def shatter(network: Network, subgraph) -> list:
     largest eccentricity of a component's lowest-ID node).
     """
     cfg = network.config
-    h = [v for v in subgraph if network.states[v].color is None]
-    if not h:
-        return []
-    h_set = set(h)
-
-    def udeg(v):
-        return sum(1 for u in network.states[v].uncolored_neighbors if u in h_set)
-
-    dh = max((udeg(v) for v in h), default=0)
-    iters = cfg.k6 * max(1, math.ceil(math.log2(max(2, dh))))
-    survivors = trial_loop(network, h, iters, "small_shatter")
-    if survivors:
-        thr = max((udeg(v) for v in survivors), default=0) / 2.0
-        high = [v for v in survivors if udeg(v) > thr]
-        trial_loop(network, high, iters, "small_shatter")
-
     g = network.graph
-    remaining = {v for v in h if network.states[v].color is None}
+    h = np.fromiter(subgraph, dtype=np.int64)
+    h = h[network.color[h] < 0]
+    if not h.size:
+        return []
+    in_h = np.zeros(g.n, dtype=bool)
+    in_h[h] = True
+
+    def udeg(nodes):
+        """Uncolored neighbors inside the subgraph, per node."""
+        src, nbrs = g.rows(nodes)
+        keep = in_h[nbrs] & (network.color[nbrs] < 0)
+        return np.bincount(src[keep], minlength=len(nodes))
+
+    iters = cfg.k6 * max(1, math.ceil(math.log2(max(2, udeg(h).max()))))
+    survivors = np.array(trial_loop(network, h, iters, "small_shatter"),
+                         dtype=np.int64)
+    if survivors.size:
+        d = udeg(survivors)
+        trial_loop(network, survivors[d > d.max() / 2.0], iters, "small_shatter")
+
+    rem = h[network.color[h] < 0]
+    remaining = set(rem.tolist())
+    edge_count = int(udeg(rem).sum())
     components = []
     seen = set()
     max_diam = 0
@@ -88,7 +94,6 @@ def shatter(network: Network, subgraph) -> list:
             seen.update(dist)
             components.append(sorted(dist))
             max_diam = max(max_diam, max(dist.values()))
-    edge_count = sum(1 for u in remaining for w in g.neighbors[u] if w in remaining)
     if components:
         network.charge_phase(
             "small_components", max(1, max_diam), edge_count,
@@ -231,10 +236,12 @@ def _cluster_lists(network: Network, cluster: Cluster):
     |cluster| smallest palette colors (enough for a (deg+1) instance inside
     the cluster, and small enough for the reduction's size bound)."""
     cap = len(cluster.nodes)
+    color = network.color
+    # clusters hold a few nodes: a walk over their rows beats array passes
     return {
-        v: tuple(sorted(network.states[v].palette())[:max(
-            cap, 1 + sum(1 for u in network.states[v].uncolored_neighbors
-                         if u in cluster.nodes))])
+        v: tuple(network.palette(v)[:max(cap, 1 + sum(
+            1 for u in network.graph.neighbors[v]
+            if u in cluster.nodes and color.item(u) < 0))])
         for v in cluster.nodes
     }
 
@@ -322,7 +329,7 @@ def color_clusters(network: Network, decomposition: ClusterDecomposition,
     instances = max(1, math.ceil(cfg.instance_mult * math.log2(max(4, n))))
     for cls in decomposition.classes:
         live = [c for c in cls
-                if any(network.states[v].color is None for v in c.nodes)]
+                if any(network.color.item(v) < 0 for v in c.nodes)]
         if not live:
             continue
         plans = []
@@ -392,9 +399,9 @@ def color_clusters(network: Network, decomposition: ClusterDecomposition,
             cluster_msgs + sum(2 * len(c.nodes) for c, _, _ in plans),
             min(network.bandwidth_bits, pack * width),
         )
-        for cluster, assignment in winners.items():
-            for v, c in sorted(assignment.items()):
-                network.assign_color(v, c)
+        # clusters of one class are pairwise non-adjacent: one batch
+        order = [vc for a in winners.values() for vc in sorted(a.items())]
+        network.assign_colors([v for v, _ in order], [c for _, c in order])
     return {"rounds": network.stats.rounds - start}
 
 
@@ -408,18 +415,7 @@ def color_small_degree(network: Network, subgraph) -> dict:
         colormaps = {c: reduce_colorspace(network, c)
                      for c in decomp.all_clusters()}
         color_clusters(network, decomp, colormaps)
-    leftovers = [v for v in subgraph if network.states[v].color is None]
+    leftovers = [v for v in subgraph if network.color.item(v) < 0]
     if leftovers:
         raise SimError(f"low-degree coloring left {len(leftovers)} nodes uncolored")
     return {"rounds": network.stats.rounds - start}
-
-
-def dump_decomposition(decomp: ClusterDecomposition) -> str:
-    lines = []
-    for i, cls in enumerate(decomp.classes):
-        for c in cls:
-            members = " ".join(str(v) for v in sorted(c.nodes))
-            lines.append(
-                f"class {i} root {c.root} diameter {c.diameter}: {members}"
-            )
-    return "\n".join(lines) + ("\n" if lines else "")

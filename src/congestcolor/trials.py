@@ -1,5 +1,5 @@
-"""Basic randomized coloring primitives: color trials, slack generation,
-parallel multi-trials, and slack measurement."""
+"""Basic randomized coloring primitives: color trials, slack generation and
+parallel multi-trials."""
 
 from __future__ import annotations
 
@@ -21,63 +21,64 @@ def try_color_round(network: Network, picks: dict, phase: str = "rct") -> list:
     if not picks:
         return []
     g = network.graph
-    states = network.states
-    for v, c in picks.items():
-        st = states[v]
-        if st.color is not None:
-            raise SimError(f"try_color on already-colored node {v}")
-        if not st.palette_contains(c):
-            raise SimError(f"node {v} tried color {c} outside its palette")
-    arr = np.full(g.n, -1, dtype=np.int64)
     nodes = np.fromiter(picks.keys(), dtype=np.int64, count=len(picks))
-    arr[nodes] = np.fromiter(picks.values(), dtype=np.int64, count=len(picks))
-    src, dst = g.edge_src, g.indices
-    conflict = (arr[src] >= 0) & (arr[src] == arr[dst])
-    losers = set(np.unique(src[conflict]).tolist())
-    winners = [v for v in picks if v not in losers]
-    trial_msgs = int(sum(len(states[v].uncolored_neighbors) for v in picks))
-    for v in winners:
-        network.assign_color(v, picks[v])
-    perm_msgs = int(sum(len(g.neighbors[v]) for v in winners))
+    cols = np.fromiter(picks.values(), dtype=np.int64, count=len(picks))
+    taken = network.color[nodes] >= 0
+    bad = taken | ~network.in_palettes(nodes, cols)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if taken[i]:
+            raise SimError(f"try_color on already-colored node {nodes[i]}")
+        raise SimError(f"node {nodes[i]} tried color {cols[i]} outside its palette")
+    # a node loses iff some neighbor announced the same color
+    src, nbrs = g.rows(nodes)
+    arr = np.full(g.n, -1, dtype=np.int64)
+    arr[nodes] = cols
+    lost = np.zeros(len(nodes), dtype=bool)
+    lost[src[arr[nbrs] == cols[src]]] = True
+    winners = nodes[~lost]
+    trial_msgs = int(network.udeg[nodes].sum())
+    network.assign_colors(winners, cols[~lost])
+    perm_msgs = int(g.degrees[winners].sum())
     rounds = 2 * network.chunks(network.color_bits)
     network.charge_phase(
         phase, rounds, trial_msgs + perm_msgs,
         min(network.color_bits, network.bandwidth_bits),
     )
-    return winners
+    return winners.tolist()
 
 
 def random_color_trial(network: Network, active, phase: str = "rct") -> list:
     """One iteration: every active node draws a uniform palette color and
     tries it. An empty palette is a hard invariant violation."""
     picks = {}
+    color, live = network.color, network.live
     for v in active:
-        st = network.states[v]
-        if st.color is not None:
+        if color.item(v) >= 0:
             continue
-        if st.palette_size() <= 0:
+        if live.item(v) <= 0:
             raise SimError(f"node {v} has an empty palette in {phase}")
-        picks[v] = st.sample_color(network.rng(v))
+        picks[v] = network.sample_color(v, network.rng(v))
     return try_color_round(network, picks, phase=phase)
 
 
 def trial_loop(network: Network, nodes, iters: int, phase: str) -> list:
     """Up to `iters` random color trials on the still-uncolored `nodes`,
     stopping once none is left; returns the uncolored ones in input order."""
-    states = network.states
+    nodes = np.asarray(nodes, dtype=np.int64)
     for _ in range(iters):
-        active = [v for v in nodes if states[v].color is None]
+        active = nodes[network.color[nodes] < 0].tolist()
         if not active:
             return active
         random_color_trial(network, active, phase=phase)
-    return [v for v in nodes if states[v].color is None]
+    return nodes[network.color[nodes] < 0].tolist()
 
 
 def slack_generation(network: Network) -> list:
     """Sampled one-shot trial: each node independently joins S with the
     configured probability and one random color trial runs on G[S]. Non-sampled
     nodes keep their color lists but see neighbors' permanent colors."""
-    if any(st.color is not None for st in network.states):
+    if (network.color >= 0).any():
         raise SimError("slack_generation must run on a fully uncolored network")
     p = network.config.p_sample
     sampled = [
@@ -102,21 +103,9 @@ def multi_trial(network: Network, v: int, k: int, palette=None) -> list:
             k = len(pal)
         order = rng.permutation(len(pal))
         return [pal[int(i)] for i in order[:k]]
-    st = network.states[v]
-    live = st.palette_size()
+    live = network.palette_size(v)
     if k > live:
         if network.trace is not None:
             network.log(v, "multi_trial_clamp", f"{k}->{live}")
         k = live
-    return st.sample_colors(rng, k)
-
-
-def measure_slack(network: Network, v: int, subgraph=None) -> int:
-    """Palette size minus the number of uncolored neighbors (optionally
-    restricted to a node subset)."""
-    st = network.states[v]
-    if subgraph is None:
-        d = len(st.uncolored_neighbors)
-    else:
-        d = sum(1 for u in st.uncolored_neighbors if u in subgraph)
-    return st.palette_size() - d
+    return network.sample_colors(v, rng, k)

@@ -21,18 +21,15 @@ from congestcolor.graphs import (
     PaletteAssignment,
     density_oracle,
     generate,
-    local_sparsity,
     make_palettes,
 )
 from congestcolor.harness import run_pipeline
 from congestcolor.overlay import compute_overlay, verify_overlay
 from congestcolor.sim import new_network
 from congestcolor.small_degree import decompose_clusters, reduce_colorspace
-from congestcolor.trials import (
-    measure_slack,
-    random_color_trial,
-    slack_generation,
-)
+from congestcolor.trials import random_color_trial, slack_generation
+from graph_oracles import local_sparsity
+from slack_measure import measure_slack
 
 CORPUS = (
     ("complete", {"n": 65}),
@@ -168,8 +165,7 @@ def test_criterion_06_degree_reduction_rate():
         hist = []
         for _ in range(8):
             hist.append(max(
-                (len(net.states[v].uncolored_neighbors)
-                 for v in net.uncolored()), default=0) / s)
+                (int(net.udeg[v]) for v in net.uncolored()), default=0) / s)
             if not net.uncolored():
                 break
             random_color_trial(net, net.uncolored())
@@ -231,7 +227,7 @@ def test_criterion_08_colorspace_reduction():
         cluster = next(decomp.all_clusters())
         cmap = reduce_colorspace(net, cluster)
         for v in range(n):
-            lst = sorted(net.states[v].palette())
+            lst = net.palette(v)
             assert len({cmap.map_color(c) for c in lst}) == len(lst)
 
     g = generate("complete", {"n": 6}, seed=0)
@@ -241,7 +237,7 @@ def test_criterion_08_colorspace_reduction():
     cluster = next(decomp.all_clusters())
     cmap = reduce_colorspace(net, cluster)
     assert cmap.p <= 2 ** 13
-    lists = {v: sorted(net.states[v].palette()) for v in range(6)}
+    lists = {v: net.palette(v) for v in range(6)}
 
     def bad_nodes(point):
         return sum(
@@ -259,7 +255,7 @@ def test_criterion_08_colorspace_reduction():
     decomp12 = decompose_clusters(net12, range(12), r_cluster=13)
     cluster12 = next(decomp12.all_clusters())
     cmap12 = reduce_colorspace(net12, cluster12)
-    lists12 = {v: sorted(net12.states[v].palette()) for v in range(12)}
+    lists12 = {v: net12.palette(v) for v in range(12)}
     rng = np.random.default_rng(0xACC8)
     draws = 2000
     xs = []

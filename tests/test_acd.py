@@ -6,13 +6,20 @@ from congestcolor.acd import (
     AlmostCliqueDecomposition,
     antidegree,
     compute_acd,
-    dump_acd,
     external_degree,
     verify_acd,
 )
 from congestcolor.config import SimConfig
 from congestcolor.graphs import density_oracle, generate, make_palettes
 from congestcolor.sim import SimError, new_network
+
+
+def dump_acd(acd: AlmostCliqueDecomposition) -> str:
+    lines = ["sparse: " + " ".join(str(v) for v in sorted(acd.v_sparse))]
+    for ac in sorted(acd.cliques):
+        members = " ".join(str(v) for v in sorted(acd.cliques[ac]))
+        lines.append(f"clique {ac} leader {acd.leaders[ac]}: {members}")
+    return "\n".join(lines) + "\n"
 
 
 def net_for(g, seed, **cfg):

@@ -16,9 +16,15 @@ from congestcolor.dense_sparse import (
     synchronized_color_trial,
     trajectory_csv,
 )
-from congestcolor.graphs import generate, make_palettes, verify_coloring
+from congestcolor.graphs import (
+    Graph,
+    PaletteAssignment,
+    generate,
+    make_palettes,
+    verify_coloring,
+)
 from congestcolor.overlay import compute_overlay
-from congestcolor.sim import NodeState, SimError, new_network
+from congestcolor.sim import SimError, new_network
 from congestcolor.trials import slack_generation
 
 EPS = Fraction(1, 3)
@@ -85,7 +91,7 @@ def test_partition_sizes_near_expectation():
     sizes = [0] * (part.t + 1)
     for v, layer in part.assignment.items():
         sizes[layer] += 1
-        assert net.states[v].layer == layer
+        assert net.layer[v] == layer
     lam1 = part.lambdas[1] * g.n / g.delta
     assert 0.3 * lam1 <= sizes[1] <= 3.0 * lam1
     assert sizes[0] > 0.8 * g.n
@@ -113,8 +119,8 @@ def test_sync_trial_single_member():
                           assignment)
     res = synchronized_color_trial(net, acd, overlays, 1, {0: part})
     assert res == {"tried": 1, "colored": 1, "failures": 0}
-    assert net.states[7].color is not None
-    assert net.states[7].palette_contains is not None
+    c = net.coloring()[7]
+    assert not any(net.palette_contains(u, c) for u in g.neighbors[7])
 
 
 def test_sync_trial_candidates_distinct_in_clique():
@@ -132,7 +138,7 @@ def test_sync_trial_candidates_distinct_in_clique():
         if res["tried"] == 0:
             break
     layer1 = [v for v in range(n) if assignment[v] == 1]
-    assert all(net.states[v].color is not None for v in layer1)
+    assert (net.color[layer1] >= 0).all()
     rep = verify_coloring(g, net.palettes, net.coloring(), allow_partial=True)
     assert rep.ok
 
@@ -161,7 +167,7 @@ def test_dense_stage_colors_planted_cliques():
     }
     res = color_dense_nodes(net, acd, overlays)
     dense = [v for ac in acd.cliques for v in acd.cliques[ac]]
-    assert all(net.states[v].color is not None for v in dense)
+    assert (net.color[dense] >= 0).all()
     rep = verify_coloring(g, net.palettes, net.coloring(), allow_partial=True)
     assert rep.ok
     assert res["rounds"] > 0
@@ -185,18 +191,20 @@ def test_dense_stage_load_within_cap_at_128():
     }
     res = color_dense_nodes(net, acd, overlays)
     dense = [v for ac in acd.cliques for v in acd.cliques[ac]]
-    assert all(net.states[v].color is not None for v in dense)
+    assert (net.color[dense] >= 0).all()
 
 
 def test_subpalette_sampling_uniform():
     # chi-square over many independent draws of a 3-subset of 6 colors
-    state = NodeState([10, 11, 12, 13, 14, 15], [])
-    counts = {c: 0 for c in state.base}
+    net = new_network(Graph(1, []),
+                      PaletteAssignment(15, {0: frozenset(range(10, 16))}),
+                      SimConfig(), 0)
+    counts = {c: 0 for c in net.palette(0)}
     draws = 3000
     for i in range(draws):
-        for c in state.sample_colors(np.random.default_rng(i), 3):
+        for c in net.sample_colors(0, np.random.default_rng(i), 3):
             counts[c] += 1
-    observed = [counts[c] for c in state.base]
+    observed = [counts[c] for c in net.palette(0)]
     _, pvalue = scipy_stats.chisquare(observed)
     assert pvalue > 0.01
 

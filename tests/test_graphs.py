@@ -13,13 +13,16 @@ from congestcolor.graphs import (
     GraphError,
     density_oracle,
     generate,
-    greedy_list_coloring,
     load_edge_list,
-    local_sparsity,
     make_palettes,
     save_edge_list,
     similarity_oracle,
     verify_coloring,
+)
+from graph_oracles import (
+    greedy_list_coloring,
+    local_sparsity,
+    verify_coloring_reference,
 )
 
 
@@ -203,3 +206,51 @@ def test_bfs_matches_shortest_paths_on_induced_subgraph(case):
     assert dist == expected
     order = list(dist.values())
     assert order[0] == 0 and order == sorted(order)
+
+
+def test_load_palettes_rejects_node_listed_twice():
+    with pytest.raises(ValueError, match="node 0 is listed twice"):
+        graphs.load_palettes("U 5\n0: 1 2\n0: 3 4\n")
+
+
+def test_load_palettes_rejects_color_outside_colorspace():
+    with pytest.raises(ValueError, match=r"node 0 has a color outside \[1, 2\]"):
+        graphs.load_palettes("U 2\n0: 1 7\n")
+    with pytest.raises(ValueError, match="node 1"):
+        graphs.load_palettes("U 4\n0: 1 2\n1: 0 3\n")
+    # without a U line the colorspace is the largest color listed
+    assert graphs.load_palettes("0: 1 7\n").colorspace_size == 7
+
+
+def test_verify_coloring_rejects_unknown_node():
+    g = generate("path", {"n": 3}, seed=0)
+    pal = make_palettes(g, seed=1, mode="shared")
+    for v in (-1, 3):
+        with pytest.raises(GraphError, match=f"node {v}"):
+            verify_coloring(g, pal, {0: 1, v: 2})
+
+
+@st.composite
+def coloring_cases(draw):
+    n = draw(st.integers(1, 16))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    u_size = draw(st.integers(1, 5))
+    lists = {v: frozenset(draw(st.lists(st.integers(1, u_size), min_size=1)))
+             for v in range(n)}
+    # a few colors over a partial, shuffled node order: monochromatic edges,
+    # off-list colors (0, -1 and u_size + 1 are on no list) and uncolored
+    # nodes all turn up, and the report must keep the dict's order
+    order = draw(st.permutations(range(n)))
+    colored = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    coloring = {v: draw(st.integers(-1, u_size + 1)) for v in order if colored[v]}
+    graph = Graph(n, [e for e, k in zip(pairs, keep) if k])
+    return graph, graphs.PaletteAssignment(u_size, lists), coloring
+
+
+@settings(max_examples=300, deadline=None)
+@given(coloring_cases(), st.booleans())
+def test_verify_coloring_matches_edge_loop(case, allow_partial):
+    g, pal, coloring = case
+    assert verify_coloring(g, pal, coloring, allow_partial) == \
+        verify_coloring_reference(g, pal, coloring, allow_partial)

@@ -14,8 +14,8 @@ def mk(graph_model="complete", n=3, seed=7, **cfg):
 def test_new_network_k3():
     net = mk()
     assert net.round_counter == 0
-    assert all(st.color is None for st in net.states)
-    assert len(net.states) == 3
+    assert net.uncolored() == [0, 1, 2]
+    assert len(net.color) == 3
 
 
 def test_bandwidth_floor_rejected():
@@ -104,13 +104,13 @@ def test_determinism_traces_match():
         net = mk(n=4, trace=True)
         for _ in range(100):
             net.run_round(noisy)
-        runs.append((net.trace_lines(), net.stats.snapshot()))
+        runs.append((net.trace, net.stats.snapshot()))
     assert runs[0] == runs[1]
 
     other = mk(n=4, seed=8, trace=True)
     for _ in range(100):
         other.run_round(noisy)
-    assert other.trace_lines() != runs[0][0]
+    assert other.trace != runs[0][0]
 
 
 def test_tree_aggregate_single_node_broadcast():
@@ -179,9 +179,9 @@ def test_untraced_coloring_logs_nothing(monkeypatch):
         raise AssertionError("log called with tracing off")
 
     monkeypatch.setattr(net, "log", no_log)
-    net.assign_color(0, min(net.states[0].palette()))
+    net.assign_color(0, min(net.palette(0)))
     traced = mk(trace=True)
-    traced.assign_color(0, min(traced.states[0].palette()))
+    traced.assign_color(0, min(traced.palette(0)))
     assert [e for _, _, e, _ in traced.trace] == ["color"]
 
 

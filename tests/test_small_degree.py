@@ -19,10 +19,20 @@ from congestcolor.small_degree import (
     color_clusters,
     color_small_degree,
     decompose_clusters,
-    dump_decomposition,
     reduce_colorspace,
     shatter,
 )
+
+
+def dump_decomposition(decomp: ClusterDecomposition) -> str:
+    lines = []
+    for i, cls in enumerate(decomp.classes):
+        for c in cls:
+            members = " ".join(str(v) for v in sorted(c.nodes))
+            lines.append(
+                f"class {i} root {c.root} diameter {c.diameter}: {members}"
+            )
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def net_for(g, seed=0, colorspace=None, **cfg):
@@ -85,7 +95,7 @@ def test_single_node_list():
     cmap = reduce_colorspace(net, cluster)
     assert cmap.g < cmap.p
     color_clusters(net, decomp, {cluster: cmap})
-    assert net.states[0].color == 42
+    assert net.color[0] == 42
 
 
 def test_reduction_small_prime_exhaustive():
@@ -100,7 +110,7 @@ def test_reduction_small_prime_exhaustive():
     assert cmap.p <= 2 ** 13 and sympy.isprime(cmap.p)
     assert cmap.degree == 1
 
-    lists = {v: sorted(net.states[v].palette()) for v in range(6)}
+    lists = {v: net.palette(v) for v in range(6)}
     collisions_at = []
     for point in range(cmap.p):
         bad = 0
@@ -135,7 +145,7 @@ def test_reduction_shrinks_wide_colorspace():
     assert cmap.p ** (cmap.degree + 1) > 10 ** 12
     assert math.ceil(math.log2(cmap.p)) < math.ceil(math.log2(10 ** 12)) / 1.5
     for v in range(12):
-        pal = sorted(net.states[v].palette())
+        pal = net.palette(v)
         assert len({cmap.map_color(c) for c in pal}) == len(pal)
 
 
@@ -184,15 +194,15 @@ def test_stale_colormap_recertified():
     net = new_network(extra, pal, SimConfig(), 4)
     decomp, cluster = single_cluster(net, range(12))
     cmap = reduce_colorspace(net, cluster)
-    pick = sorted(net.states[12].palette() & net.states[11].palette())
+    pick = sorted(set(net.palette(12)) & set(net.palette(11)))
     if pick:
         net.assign_color(12, pick[0])
     color_clusters(net, decomp, {cluster: cmap})
     rep = verify_coloring(
-        extra, pal, net.coloring(), allow_partial=net.states[12].color is None
+        extra, pal, net.coloring(), allow_partial=bool(net.color[12] < 0)
     )
     assert rep.ok
-    assert all(net.states[v].color is not None for v in range(12))
+    assert (net.color[:12] >= 0).all()
 
 
 def test_low_degree_graph_fully_colored():

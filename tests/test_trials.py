@@ -4,12 +4,12 @@ from congestcolor.config import SimConfig
 from congestcolor.graphs import generate, make_palettes, verify_coloring
 from congestcolor.sim import SimError, new_network
 from congestcolor.trials import (
-    measure_slack,
     multi_trial,
     random_color_trial,
     slack_generation,
     try_color_round,
 )
+from slack_measure import measure_slack
 
 
 def mk(model, params, seed=0, pal_mode="shared", pal_kind="delta_plus_one", **cfg):
@@ -20,28 +20,28 @@ def mk(model, params, seed=0, pal_mode="shared", pal_kind="delta_plus_one", **cf
 
 def test_try_color_isolated_winner():
     net = mk("path", {"n": 3})
-    c = net.states[0].sample_color(net.rng(0))
+    c = net.sample_color(0, net.rng(0))
     winners = try_color_round(net, {0: c})
     assert winners == [0]
-    assert net.states[0].color == c
-    assert not net.states[1].palette_contains(c)
+    assert net.color[0] == c
+    assert not net.palette_contains(1, c)
     # the non-adjacent node keeps its full list
-    assert net.states[2].palette_size() == net.graph.delta + 1
+    assert net.palette_size(2) == net.graph.delta + 1
 
 
 def test_try_color_conflict_blocks_both():
     net = mk("path", {"n": 2})
-    c = next(iter(net.states[0].palette()))
+    c = net.palette(0)[0]
     winners = try_color_round(net, {0: c, 1: c})
     assert winners == []
-    assert net.states[0].color is None and net.states[1].color is None
-    assert net.states[0].palette_contains(c)
-    assert net.states[1].palette_contains(c)
+    assert net.color[0] == -1 and net.color[1] == -1
+    assert net.palette_contains(0, c)
+    assert net.palette_contains(1, c)
 
 
 def test_try_color_path_mixed_picks():
     net = mk("path", {"n": 3})
-    pal = sorted(net.states[0].palette())
+    pal = net.palette(0)
     a, b = pal[0], pal[1]
     winners = try_color_round(net, {0: a, 1: b, 2: a})
     assert sorted(winners) == [0, 1, 2]
@@ -51,23 +51,23 @@ def test_try_color_path_mixed_picks():
 
 def test_try_color_off_palette_rejected():
     net = mk("path", {"n": 2})
-    bad = max(net.states[0].base) + 1
+    bad = max(net.palette(0)) + 1
     with pytest.raises(SimError, match="outside its palette"):
         try_color_round(net, {0: bad})
 
 
 def test_try_color_colored_node_rejected():
     net = mk("path", {"n": 2})
-    c = next(iter(net.states[0].palette()))
+    c = net.palette(0)[0]
     try_color_round(net, {0: c})
     with pytest.raises(SimError, match="already-colored"):
-        try_color_round(net, {0: sorted(net.states[0].palette())[0]})
+        try_color_round(net, {0: net.palette(0)[0]})
 
 
 def test_try_color_charges_rounds():
     net = mk("path", {"n": 3})
     before = net.round_counter
-    try_color_round(net, {0: next(iter(net.states[0].palette()))})
+    try_color_round(net, {0: net.palette(0)[0]})
     assert net.round_counter == before + 2
 
 
@@ -87,8 +87,8 @@ def test_rct_k2_success_rate():
 
 def test_rct_empty_palette_hard_failure():
     net = mk("path", {"n": 2})
-    st = net.states[0]
-    st.removed = set(st.base)
+    net.removed[net.pal_ptr[0]:net.pal_ptr[1]] = True
+    net.live[0] = 0
     with pytest.raises(SimError, match="node 0"):
         random_color_trial(net, [0])
 
@@ -106,7 +106,7 @@ def test_rct_progress_on_cycle():
 
 def test_slack_generation_requires_fresh_network():
     net = mk("path", {"n": 3})
-    try_color_round(net, {0: next(iter(net.states[0].palette()))})
+    try_color_round(net, {0: net.palette(0)[0]})
     with pytest.raises(SimError, match="uncolored"):
         slack_generation(net)
 
@@ -131,13 +131,13 @@ def test_multi_trial_distinct_in_palette():
     net = mk("complete", {"n": 10})
     out = multi_trial(net, 0, 5)
     assert len(out) == 5 and len(set(out)) == 5
-    assert all(net.states[0].palette_contains(c) for c in out)
+    assert all(net.palette_contains(0, c) for c in out)
 
 
 def test_multi_trial_clamps_to_palette_size():
     net = mk("path", {"n": 2}, pal_kind="deg_plus_one")
     out = multi_trial(net, 0, 10)
-    assert sorted(out) == sorted(net.states[0].palette())
+    assert sorted(out) == net.palette(0)
 
 
 def test_measure_slack_fresh():
