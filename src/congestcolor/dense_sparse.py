@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .overlay import RoutingRequest, route
-from .sim import Network, SimError
+from .sim import Network, SimError, seed_words, stream
 from .small_degree import color_small_degree
 from .trials import random_color_trial, trial_loop, try_color_round
 
@@ -115,8 +115,8 @@ def partition_layers(network: Network, clique, seed: int = 0) -> LayerPartition:
     t_prime, t, probs, lambdas, fallback = layer_schedule(network)
     cumulative = np.cumsum([float(p) for p in probs])
     members = sorted(clique)
-    draws = [np.random.default_rng([network.master_seed, _LAYER_TAG, seed, v])
-             .random() for v in members]
+    draws = [stream(w).random() for w in
+             seed_words([network.master_seed, _LAYER_TAG, seed], members)]
     layers = np.minimum(np.searchsorted(cumulative, draws, side="right"), t)
     assignment = dict(zip(members, layers.tolist()))
     ms = np.array(members, dtype=np.int64)

@@ -10,12 +10,20 @@ Two execution paths share the same accounting:
   arithmetically; it asserts the same per-edge bound before booking.
 
 Per-node randomness is an independent stream derived from
-(master_seed, node id), so node scheduling order cannot perturb draws.
+(master_seed, node id), so node scheduling order cannot perturb draws. Node
+v's stream is exactly `np.random.default_rng([master_seed, v])`, and the
+layer draws of `dense_sparse.partition_layers` are exactly
+`default_rng([master_seed, 0xD15E, seed, v])`. Neither is built through
+`default_rng`: `seed_words` runs numpy's `SeedSequence` hash for a whole array
+of node ids in one pass, and `stream` starts numpy's PCG64 from one node's
+words. That hash is fixed and has not changed since numpy 1.17;
+`tests/test_rng_streams.py` checks the streams against `default_rng`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
@@ -73,6 +81,93 @@ def bandwidth_bits(n: int, config) -> int:
     return config.b_factor * max(1, math.ceil(math.log2(max(2, n))))
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the constants
+# of the entropy pool mix, of the word mix and of generate_state
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_XSHIFT = np.uint32(16)
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(x: int) -> list:
+    """An entropy integer as SeedSequence reads it: 32-bit words, low first."""
+    x = operator.index(x)
+    if x < 0:
+        raise ValueError(f"expected non-negative integer, got {x}")
+    words = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+def seed_words(prefix, nodes) -> np.ndarray:
+    """Row i is `SeedSequence(list(prefix) + [nodes[i]]).generate_state(4,
+    np.uint64)`, for every node at once: the (len(nodes), 4) uint64 PCG64
+    seeds of the streams `np.random.default_rng(list(prefix) + [v])`. Node
+    ids must lie in [0, 2**32), where each is one entropy word."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if nodes.size and (nodes.min() < 0 or nodes.max() > _MASK32):
+        raise ValueError("node ids must lie in [0, 2**32)")
+    consts = [w for x in prefix for w in _uint32_words(x)]
+    entropy = np.empty((len(consts) + 1, nodes.size), dtype=np.uint32)
+    entropy[:-1] = np.array(consts, dtype=np.uint32)[:, None]
+    entropy[-1] = nodes
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return out ^ (out >> _XSHIFT)
+
+    zero = np.zeros(nodes.size, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, len(entropy)):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[i_src]))
+    # generate_state: 8 words cycling over the pool, paired little-endian
+    state = np.empty((nodes.size, 8), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> _XSHIFT)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _PresetSeed(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose one PCG64 seed is already computed."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a preset seed holds only 4 uint64 words")
+        return self._words
+
+
+def stream(words) -> np.random.Generator:
+    """The generator seeded by one row of `seed_words`."""
+    return np.random.Generator(np.random.PCG64(_PresetSeed(words)))
+
+
 def _bit_width(x: int) -> int:
     return max(1, int(x).bit_length())
 
@@ -128,6 +223,7 @@ class Network:
         self.removed = np.zeros(colors.size, dtype=bool)
         self.live = sizes
         self._rngs: dict = {}
+        self._seed_words = None       # (n, 4) PCG64 seeds, on the first draw
         self._inboxes: dict = defaultdict(list)
         self._tree_cache: dict = {}
         self.trace: list = [] if config.trace else None
@@ -135,10 +231,15 @@ class Network:
     # -- randomness ---------------------------------------------------------
 
     def rng(self, v: int):
+        """Node v's stream, `np.random.default_rng([master_seed, v])`."""
         g = self._rngs.get(v)
         if g is None:
-            g = np.random.default_rng([self.master_seed, v])
-            self._rngs[v] = g
+            if not 0 <= v < self.graph.n:
+                raise ValueError(f"no node {v} in a {self.graph.n}-node network")
+            if self._seed_words is None:
+                self._seed_words = seed_words([self.master_seed],
+                                              np.arange(self.graph.n))
+            g = self._rngs[v] = stream(self._seed_words[v])
         return g
 
     # -- accounting ---------------------------------------------------------

@@ -18,6 +18,7 @@ outputs (independent classes, bounded weak diameter).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -191,6 +192,22 @@ def _minimal_c0(n_bound: int, u_size: int) -> float:
     raise SimError("no workable colorspace-reduction exponent found")
 
 
+@functools.lru_cache(maxsize=None)
+def _field(n_bound: int, u_size: int) -> tuple:
+    """(c0, p, degree) of the reduction: the smallest workable c0, the prime
+    field size p and the polynomial degree whose family covers the U colors.
+    A pure function of (N, U), computed once per pair."""
+    c0 = _minimal_c0(n_bound, u_size)
+    while True:
+        p = int(sympy.nextprime(n_bound ** c0 / 2.0))
+        if p > n_bound ** c0 + 1:
+            raise SimError("no prime found in the target window")
+        degree = max(1, math.ceil(p / n_bound ** 5))
+        if p ** (degree + 1) > u_size:
+            return c0, p, degree
+        c0 += 1.0 / 64.0   # family too small for the colorspace; widen
+
+
 def _color_poly(color: int, p: int, degree: int):
     """Distinct polynomial per color: base-p digits as coefficients."""
     coeffs = []
@@ -252,16 +269,7 @@ def reduce_colorspace(network: Network, cluster: Cluster) -> ColorMap:
     lists = _cluster_lists(network, cluster)
     n_bound = max(3, len(cluster.nodes), cluster.diameter + 1,
                   max(len(l) for l in lists.values()))
-    u_size = network.palettes.colorspace_size
-    c0 = _minimal_c0(n_bound, u_size)
-    while True:
-        p = int(sympy.nextprime(n_bound ** c0 / 2.0))
-        if p > n_bound ** c0 + 1:
-            raise SimError("no prime found in the target window")
-        degree = max(1, math.ceil(p / n_bound ** 5))
-        if p ** (degree + 1) > u_size:
-            break
-        c0 += 1.0 / 64.0   # family too small for the colorspace; widen
+    c0, p, degree = _field(n_bound, network.palettes.colorspace_size)
 
     # collision sets: the evaluation points where some pair of one node's
     # colors collides

@@ -51,14 +51,13 @@ def try_color_round(network: Network, picks: dict, phase: str = "rct") -> list:
 def random_color_trial(network: Network, active, phase: str = "rct") -> list:
     """One iteration: every active node draws a uniform palette color and
     tries it. An empty palette is a hard invariant violation."""
-    picks = {}
-    color, live = network.color, network.live
-    for v in active:
-        if color.item(v) >= 0:
-            continue
-        if live.item(v) <= 0:
-            raise SimError(f"node {v} has an empty palette in {phase}")
-        picks[v] = network.sample_color(v, network.rng(v))
+    active = np.asarray(active, dtype=np.int64)
+    active = active[network.color[active] < 0]
+    empty = network.live[active] <= 0
+    if empty.any():
+        raise SimError(f"node {active[np.argmax(empty)]} has an empty palette "
+                       f"in {phase}")
+    picks = {v: network.sample_color(v, network.rng(v)) for v in active.tolist()}
     return try_color_round(network, picks, phase=phase)
 
 
@@ -67,9 +66,9 @@ def trial_loop(network: Network, nodes, iters: int, phase: str) -> list:
     stopping once none is left; returns the uncolored ones in input order."""
     nodes = np.asarray(nodes, dtype=np.int64)
     for _ in range(iters):
-        active = nodes[network.color[nodes] < 0].tolist()
-        if not active:
-            return active
+        active = nodes[network.color[nodes] < 0]
+        if not active.size:
+            return []
         random_color_trial(network, active, phase=phase)
     return nodes[network.color[nodes] < 0].tolist()
 

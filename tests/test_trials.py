@@ -93,6 +93,28 @@ def test_rct_empty_palette_hard_failure():
         random_color_trial(net, [0])
 
 
+def test_rct_names_first_empty_palette_in_active_order():
+    net = mk("path", {"n": 5})
+    net.assign_color(0, net.palette(0)[0])
+    for v in (0, 2, 4):
+        net.removed[net.pal_ptr[v]:net.pal_ptr[v + 1]] = True
+        net.live[v] = 0
+    # node 0 is colored, so its empty list is not an error
+    with pytest.raises(SimError, match="node 4 has an empty palette in rct"):
+        random_color_trial(net, [0, 3, 4, 2])
+
+
+def test_rct_skips_colored_nodes_without_drawing():
+    net = mk("path", {"n": 4})
+    ref = mk("path", {"n": 4})
+    net.assign_color(1, net.palette(1)[0])
+    ref.assign_color(1, ref.palette(1)[0])
+    random_color_trial(net, [1, 3])
+    random_color_trial(ref, [3])
+    assert net.coloring() == ref.coloring()
+    assert net.rng(1).random() == ref.rng(1).random()
+
+
 def test_rct_progress_on_cycle():
     net = mk("cycle", {"n": 30}, seed=5)
     for _ in range(60):
