@@ -334,7 +334,7 @@ def verify_acd(graph: Graph, acd: AlmostCliqueDecomposition) -> AcdReport:
         if not (1 - eps) * big_d <= size <= (1 + eps) * big_d:
             rep.add(f"clique {ac} size {size} outside [(1-eps)D,(1+eps)D]")
         for v in members:
-            internal = sum(1 for u in graph.neighbors[v] if u in members)
+            internal = sum(1 for u in graph.neighbors(v) if u in members)
             if internal < (1 - eps) * big_d:
                 rep.add(f"node {v} has only {internal} neighbors inside clique {ac}")
             ext = external_degree(acd, v)
@@ -348,16 +348,7 @@ def verify_acd(graph: Graph, acd: AlmostCliqueDecomposition) -> AcdReport:
 def _diameter_within(graph: Graph, members: set) -> int:
     best = 0
     for s in members:
-        dist = {s: 0}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in graph.neighbors[u]:
-                    if w in members and w not in dist:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
+        dist = graph.bfs(s, members)
         if len(dist) != len(members):
             return graph.n  # disconnected: effectively infinite
         best = max(best, max(dist.values()))
@@ -369,19 +360,5 @@ def external_degree(acd: AlmostCliqueDecomposition, v: int) -> int:
     home = acd.clique_of(v)
     if home is None:
         raise SimError(f"external_degree: node {v} is in the sparse set")
-    count = 0
-    for u in acd.graph.neighbors[v]:
-        ac = acd.clique_of(u)
-        if ac is not None and ac != home:
-            count += 1
-    return count
-
-
-def antidegree(acd: AlmostCliqueDecomposition, v: int) -> int:
-    """Members of v's almost-clique that are not adjacent to v."""
-    home = acd.clique_of(v)
-    if home is None:
-        raise SimError(f"antidegree: node {v} is in the sparse set")
-    members = acd.cliques[home]
-    nbrs = acd.graph.neighbor_sets[v]
-    return sum(1 for u in members if u != v and u not in nbrs)
+    return sum(1 for u in acd.graph.neighbors(v)
+               if acd.clique_of(u) not in (None, home))

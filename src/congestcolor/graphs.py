@@ -7,6 +7,7 @@ no code with them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,46 +20,45 @@ class GraphError(ValueError):
 class Graph:
     """Immutable simple undirected graph.
 
-    Nodes are 0..n-1. Adjacency is stored both as per-node sorted tuples (for
-    set-style queries) and in CSR form (indptr/indices) for vectorized passes.
+    Nodes are 0..n-1. The CSR arrays are the only adjacency: v's neighbors
+    are `indices[indptr[v]:indptr[v + 1]]`, ascending, `edge_src` is the tail
+    of each directed edge (aligned with `indices`), and `degrees` the row
+    lengths. `edges` is an (m, 2) integer array or any iterable of pairs.
     """
 
     def __init__(self, n: int, edges):
         if n <= 0:
             raise GraphError("empty graph")
-        seen = set()
-        adj = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"node id out of range: ({u},{v})")
-            if u == v:
-                raise GraphError(f"self-loop at node {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphError(f"duplicate edge ({u},{v})")
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if e.size and (e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu"):
+            raise GraphError("edges must be pairs of integer node ids")
+        u, v = e.reshape(-1, 2).astype(np.int64, copy=False).T
+        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
+        # both directions of every edge, sorted by (tail, head)
+        keys = np.concatenate((u * n + v, v * n + u))
+        keys.sort()
+        if bad.any() or (keys[1:] == keys[:-1]).any():
+            _reject(n, u, v, bad)
         self.n = n
-        self.neighbors = [tuple(sorted(a)) for a in adj]
-        self.neighbor_sets = [frozenset(a) for a in adj]
-        self.degrees = np.array([len(a) for a in adj], dtype=np.int64)
-        self.delta = int(self.degrees.max()) if n else 0
-        self.m = len(seen)
-        deg = self.degrees
+        self.m = len(u)
+        self.edge_src = keys // n
+        self.indices = keys - self.edge_src * n
+        self.degrees = np.bincount(self.edge_src, minlength=n)
+        self.delta = int(self.degrees.max())
         self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=self.indptr[1:])
-        self.indices = np.empty(int(deg.sum()), dtype=np.int64)
-        for v in range(n):
-            self.indices[self.indptr[v]:self.indptr[v + 1]] = self.neighbors[v]
-        # tail of each directed edge, aligned with self.indices
-        self.edge_src = np.repeat(np.arange(n, dtype=np.int64), deg)
+        np.cumsum(self.degrees, out=self.indptr[1:])
+
+    def neighbors(self, v: int) -> list:
+        """v's neighbors, ascending."""
+        return self.indices[self.indptr.item(v):self.indptr.item(v + 1)].tolist()
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
+        return self.degrees.item(v)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbor_sets[u]
+        lo, hi = self.indptr.item(u), self.indptr.item(u + 1)
+        i = bisect_left(self.indices, v, lo, hi)
+        return i < hi and self.indices.item(i) == v
 
     def rows(self, nodes):
         """The CSR rows of `nodes` (an int64 array), one after another: for
@@ -72,29 +72,51 @@ class Graph:
         """Hop distance from `root` of every node reachable inside the node
         set `within` (at most `radius` hops if given), in visiting order:
         level by level, each level in its parents' order and then by
-        ascending neighbor id."""
+        ascending neighbor id. The search stops as soon as every node of
+        `within` has been reached."""
+        ptr, ind = self.indptr, self.indices
         dist = {root: 0}
+        left = len(within) - (root in within)
         frontier = [root]
         d = 0
-        while frontier and (radius is None or d < radius):
+        while frontier and left and (radius is None or d < radius):
             d += 1
             nxt = []
             for u in frontier:
-                for w in self.neighbors[u]:
+                for w in ind[ptr.item(u):ptr.item(u + 1)].tolist():
                     if w in within and w not in dist:
                         dist[w] = d
                         nxt.append(w)
+                        left -= 1
+                if not left:
+                    break
             frontier = nxt
         return dist
 
     def edges(self):
-        for u in range(self.n):
-            for v in self.neighbors[u]:
-                if u < v:
-                    yield (u, v)
+        """Every edge once, as (u, v) with u < v, ascending."""
+        up = self.edge_src < self.indices
+        return zip(self.edge_src[up].tolist(), self.indices[up].tolist())
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m}, delta={self.delta})"
+
+
+def _reject(n: int, u, v, bad):
+    """Raise for the first faulty edge (u[i], v[i]) in input order: an id out
+    of range, a self-loop (`bad` marks both), or the later occurrence of an
+    edge already given in either orientation."""
+    stop = int(np.argmax(bad)) if bad.any() else len(u)
+    keys = np.minimum(u, v)[:stop] * n + np.maximum(u, v)[:stop]
+    order = np.argsort(keys, kind="stable")
+    later = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if later.size:
+        i = int(later.min())
+        raise GraphError(f"duplicate edge ({u[i]},{v[i]})")
+    a, b = u[stop], v[stop]
+    if not (0 <= a < n and 0 <= b < n):
+        raise GraphError(f"node id out of range: ({a},{b})")
+    raise GraphError(f"self-loop at node {a}")
 
 
 @dataclass
@@ -118,39 +140,29 @@ def generate(model: str, params: dict, seed: int) -> Graph:
     rng = np.random.default_rng([seed, 0xC0109])
     if model == "complete":
         n = _pos_int(params, "n")
-        return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        return Graph(n, np.column_stack(np.triu_indices(n, 1)))
     if model == "path":
         n = _pos_int(params, "n")
-        return Graph(n, [(i, i + 1) for i in range(n - 1)])
+        return Graph(n, np.column_stack((np.arange(n - 1), np.arange(1, n))))
     if model == "cycle":
         n = _pos_int(params, "n")
         if n < 3:
             raise GraphError("cycle needs n >= 3")
-        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        return Graph(n, np.column_stack((np.arange(n), np.arange(1, n + 1) % n)))
     if model == "star":
         n = _pos_int(params, "n")
-        return Graph(n, [(0, i) for i in range(1, n)])
+        return Graph(n, np.column_stack((np.zeros(n - 1, np.int64), np.arange(1, n))))
     if model == "gnp":
         n = _pos_int(params, "n")
         p = float(params["p"])
         if not 0.0 <= p <= 1.0:
             raise GraphError(f"invalid gnp probability {p}")
-        edges = []
-        # sample the upper triangle row by row to keep memory bounded
-        for u in range(n - 1):
-            hits = np.nonzero(rng.random(n - u - 1) < p)[0]
-            edges.extend((u, u + 1 + int(h)) for h in hits)
-        return Graph(n, edges)
+        return Graph(n, _row_draws(rng, n, np.arange(1, n + 1), p))
     if model == "clique_union":
         k = _pos_int(params, "k")
         size = _pos_int(params, "size")
-        edges = []
-        for i in range(k):
-            base = i * size
-            edges.extend(
-                (base + u, base + v) for u in range(size) for v in range(u + 1, size)
-            )
-        return Graph(k * size, edges)
+        block = np.column_stack(np.triu_indices(size, 1))
+        return Graph(k * size, np.concatenate([block + i * size for i in range(k)]))
     if model == "planted_almost_cliques":
         return _planted_almost_cliques(params, rng)
     raise GraphError(f"unknown graph model: {model}")
@@ -161,6 +173,17 @@ def _pos_int(params, key):
     if v < 1:
         raise GraphError(f"{key} must be >= 1, got {v}")
     return v
+
+
+def _row_draws(rng, n: int, starts, p: float):
+    """Edges (u, w) with w in [starts[u], n), one vector draw
+    `rng.random(n - starts[u]) < p` per row u in order; rows whose columns
+    are empty draw nothing."""
+    none = np.empty(0, dtype=np.int64)
+    heads = [np.flatnonzero(rng.random(n - s) < p) + s if s < n else none
+             for s in starts.tolist()]
+    tails = np.repeat(np.arange(len(heads)), [len(h) for h in heads])
+    return np.column_stack((tails, np.concatenate([none] + heads)))
 
 
 def _planted_almost_cliques(params: dict, rng) -> Graph:
@@ -176,24 +199,14 @@ def _planted_almost_cliques(params: dict, rng) -> Graph:
     size = delta + 1
     n = k * size
     inter_p = float(params.get("inter_p", min(1.0, 2.0 / max(1, n - size))))
-    edges = []
-    for i in range(k):
-        base = i * size
-        internal = [
-            (base + u, base + v) for u in range(size) for v in range(u + 1, size)
-        ]
-        drop = rng.random(len(internal)) < removal
-        edges.extend(e for e, d in zip(internal, drop) if not d)
+    # each group's internal pairs in row-major order, one draw per pair
+    block = np.column_stack(np.triu_indices(size, 1))
+    parts = [block[rng.random(len(block)) >= removal] + i * size for i in range(k)]
     if k > 1 and inter_p > 0:
         # groups are contiguous blocks, so the cross pairs above u form the
-        # contiguous tail [end-of-u's-group, n); one vector draw per row
-        for u in range(n):
-            start = (u // size + 1) * size
-            if start >= n:
-                continue
-            hits = np.nonzero(rng.random(n - start) < inter_p)[0]
-            edges.extend((u, start + int(h)) for h in hits)
-    return Graph(n, edges)
+        # contiguous tail [end-of-u's-group, n)
+        parts.append(_row_draws(rng, n, (np.arange(n) // size + 1) * size, inter_p))
+    return Graph(n, np.concatenate(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +256,6 @@ def load_edge_list(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def save_edge_list(graph: Graph) -> str:
-    lines = [f"p edge {graph.n} {graph.m}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in graph.edges())
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # palettes
 
@@ -272,31 +279,22 @@ def make_palettes(
     if kind == "delta_plus_one":
         sizes = [graph.delta + 1] * n
     elif kind == "deg_plus_one":
-        sizes = [graph.degree(v) + 1 for v in range(n)]
+        sizes = (graph.degrees + 1).tolist()
     else:
         raise ValueError(f"unknown palette kind {kind}")
     if max(sizes) > u_size:
         raise ValueError("colorspace smaller than required list size")
-    lists = {}
     if mode == "shared":
-        for v in range(n):
-            lists[v] = frozenset(range(1, sizes[v] + 1))
+        # one list object per distinct size, shared by every node of that size
+        prefix = {s: frozenset(range(1, s + 1)) for s in set(sizes)}
+        lists = dict(enumerate(prefix[s] for s in sizes))
     elif mode == "random":
         rng = np.random.default_rng([seed, 0xBA1E77E])
-        for v in range(n):
-            picks = rng.choice(u_size, size=sizes[v], replace=False)
-            lists[v] = frozenset(int(c) + 1 for c in picks)
+        lists = {v: frozenset((rng.choice(u_size, size=s, replace=False) + 1).tolist())
+                 for v, s in enumerate(sizes)}
     else:
         raise ValueError(f"unknown palette mode {mode}")
     return PaletteAssignment(colorspace_size=u_size, lists=lists)
-
-
-def save_palettes(palettes: PaletteAssignment) -> str:
-    lines = [f"U {palettes.colorspace_size}"]
-    for v in sorted(palettes.lists):
-        cols = " ".join(str(c) for c in sorted(palettes.lists[v]))
-        lines.append(f"{v}: {cols}")
-    return "\n".join(lines) + "\n"
 
 
 def load_palettes(text: str) -> PaletteAssignment:
@@ -332,15 +330,17 @@ def load_palettes(text: str) -> PaletteAssignment:
 
 def similarity_oracle(graph: Graph, u: int, v: int, gamma: float) -> bool:
     """gamma-similar: |N(u) cap N(v)| >= (1-gamma)*Delta."""
-    inter = len(graph.neighbor_sets[u] & graph.neighbor_sets[v])
+    inter = len(set(graph.neighbors(u)).intersection(graph.neighbors(v)))
     return inter >= (1.0 - gamma) * graph.delta
 
 
 def density_oracle(graph: Graph, v: int, gamma: float) -> bool:
     """gamma-dense: v has at least (1-gamma)*Delta gamma-friends."""
-    friends = sum(
-        1 for u in graph.neighbors[v] if similarity_oracle(graph, u, v, gamma)
-    )
+    nbrs = graph.indices[graph.indptr[v]:graph.indptr[v + 1]]
+    # |N(u) cap N(v)| for every neighbor u, from the neighbors' rows
+    at, w = graph.rows(nbrs)
+    common = np.bincount(at[np.isin(w, nbrs)], minlength=len(nbrs))
+    friends = int((common >= (1.0 - gamma) * graph.delta).sum())
     return friends >= (1.0 - gamma) * graph.delta
 
 

@@ -17,6 +17,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .acd import compute_acd
 from .config import SimConfig
 from .dense_sparse import (
@@ -70,12 +72,16 @@ def small_degree_branch(graph: Graph, config: SimConfig) -> bool:
 def _check_lists(graph: Graph, palettes: PaletteAssignment):
     """Reject an instance in which some node has no list or fewer than
     deg(v)+1 colors, naming the first such node."""
-    for v in range(graph.n):
-        if v not in palettes.lists:
-            raise ValueError(f"node {v} has no color list")
-        if len(palettes.lists[v]) <= graph.degree(v):
-            raise ValueError(f"node {v} has {len(palettes.lists[v])} colors, "
-                             f"needs at least deg+1 = {graph.degree(v) + 1}")
+    lists = palettes.lists
+    # list sizes, -1 for a node without a list
+    sizes = np.fromiter((len(lists[v]) if v in lists else -1 for v in range(graph.n)),
+                        np.int64, graph.n)
+    v = int(np.argmax(sizes <= graph.degrees))
+    if sizes[v] < 0:
+        raise ValueError(f"node {v} has no color list")
+    if sizes[v] <= graph.degrees[v]:
+        raise ValueError(f"node {v} has {sizes[v]} colors, "
+                         f"needs at least deg+1 = {graph.degrees[v] + 1}")
 
 
 def run_pipeline(graph: Graph, palettes: PaletteAssignment, config: SimConfig,

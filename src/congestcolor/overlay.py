@@ -11,10 +11,11 @@ exactly what caps the per-edge congestion at 2.
 `compute_overlay` works on one clique at a time. The sorted members get local
 indices, and an s x s boolean adjacency block is filled from their CSR rows.
 The block gives the clique's edge count, its non-edges in row-major (u, v)
-order, and the common-neighbor check (row ANDs). Each non-edge is handled by
-its higher endpoint. A handler's pairs share one sorted list of its clique
-neighbors as their apparent palette; a pair copies the list on its first
-permanent rejection. The node streams see a fixed sequence of draws: in each
+order, the common-neighbor check (row ANDs) and whether a proposed relay is
+adjacent to both ends of a pair. Each non-edge is handled by its higher
+endpoint. A handler's pairs share one sorted list of its clique neighbors as
+their apparent palette; a pair copies the list on its first permanent
+rejection. The node streams see a fixed sequence of draws: in each
 capped round, one `integers` call per pending pair from its handler's stream,
 in non-edge order; in each finishing round, one `permutation` call per
 pending pair (`multi_trial` on the same sorted palette).
@@ -54,13 +55,16 @@ class OverlayReport:
         return not self.violations
 
 
-def _non_edges(graph, members):
-    ms = sorted(members)
-    out = []
-    for i, u in enumerate(ms):
-        nbrs = graph.neighbor_sets[u]
-        out.extend((u, v) for v in ms[i + 1:] if v not in nbrs)
-    return out
+def _member_adjacency(graph, ms):
+    """The local index of every node (-1 outside the sorted members `ms`)
+    and the s x s adjacency among the members, marked from their CSR rows."""
+    local = np.full(graph.n, -1)
+    local[ms] = np.arange(len(ms))
+    at, j = graph.rows(ms)
+    j = local[j]
+    marked = np.zeros((len(ms), len(ms)), dtype=bool)
+    marked[at[j >= 0], j[j >= 0]] = True
+    return local, marked
 
 
 def _adjacency_block(graph, ms):
@@ -133,6 +137,7 @@ def compute_overlay(network: Network, clique, leader: int,
     # neighbors and prunes on rejections; v's pairs share one sorted list
     # until their first prune
     ids = ms.tolist()
+    local = {v: i for i, v in enumerate(ids)}
     shared = {}
     rngs = {}
     pending = {}
@@ -148,7 +153,6 @@ def compute_overlay(network: Network, clique, leader: int,
     grant_bits = 2 * network.id_bits + 1
     if grant_bits > network.bandwidth_bits:
         raise SimError("overlay grant message exceeds bandwidth")
-    nbr = g.neighbor_sets
 
     def prune(pair, w):
         """Permanent rejection: drop w from the pair's apparent palette."""
@@ -172,9 +176,12 @@ def compute_overlay(network: Network, clique, leader: int,
         for w, reqs in sorted(by_relay.items()):
             usable = []
             served = serving[w]
+            # candidates come from the handlers' clique neighbors, so w is
+            # a member and its block row answers adjacency
+            adj = block[local[w]]
             for pair in sorted(reqs):
                 u, v = pair
-                if w not in nbr[u] or w not in nbr[v]:
+                if not (adj.item(local[u]) and adj.item(local[v])):
                     prune(pair, w)                   # permanent: not a common nbr
                 elif u in served or v in served:
                     prune(pair, w)                   # permanent: endpoint clash
@@ -258,20 +265,32 @@ def verify_overlay(graph, overlay: CliqueOverlay) -> OverlayReport:
     per-edge congestion bound."""
     rep = OverlayReport()
     members = overlay.members
+    ms = np.array(sorted(members), dtype=np.int64)
+    local, marked = _member_adjacency(graph, ms)
     covered = set(overlay.relays)
-    for u, v in _non_edges(graph, members):
+    iu, iv = np.nonzero(np.triu(~marked, 1))
+    for u, v in zip(ms[iu].tolist(), ms[iv].tolist()):
         if frozenset((u, v)) not in covered:
             rep.violations.append(f"non-edge ({u},{v}) has no relay")
-    for pair, w in overlay.relays.items():
-        u, v = sorted(pair)
+    relays = overlay.relays
+    ends = [(*sorted(pair), w) for pair, w in relays.items()]
+    ids = np.array(ends, dtype=np.int64).reshape(-1, 3)
+    # local indices of (u, v, w); a triple with a node outside the clique is
+    # looked up in the graph itself
+    loc = np.where((ids >= 0) & (ids < graph.n), local[ids.clip(0, graph.n - 1)], -1)
+    inside = (loc >= 0).all(axis=1)
+    lu, lv, lw = loc[inside].T
+    via = np.zeros(len(ids), dtype=bool)
+    via[inside] = marked[lu, lw] & marked[lv, lw]
+    congestion = defaultdict(int)
+    for (pair, w), (u, v, _), ok, checked in zip(relays.items(), ends, via.tolist(),
+                                                  inside.tolist()):
         if w not in members:
             rep.violations.append(f"relay {w} for ({u},{v}) outside the clique")
-        if not (graph.has_edge(u, w) and graph.has_edge(v, w)):
+        if not (ok if checked else graph.has_edge(u, w) and graph.has_edge(v, w)):
             rep.violations.append(f"relay {w} not adjacent to both of ({u},{v})")
-    congestion = defaultdict(int)
-    for pair, w in overlay.relays.items():
-        for u in pair:
-            congestion[(min(u, w), max(u, w))] += 1
+        for x in pair:
+            congestion[(x, w) if x < w else (w, x)] += 1
     for e, c in congestion.items():
         if c > 2:
             rep.violations.append(f"edge {e} lies on {c} relay paths")
@@ -337,11 +356,3 @@ def route(network: Network, overlay: CliqueOverlay, requests) -> int:
         min(units_per_round * network.color_bits, network.bandwidth_bits),
     )
     return rounds
-
-
-def dump_overlay(overlay: CliqueOverlay) -> str:
-    lines = []
-    for pair in sorted(overlay.relays, key=sorted):
-        u, v = sorted(pair)
-        lines.append(f"{u} {v} via {overlay.relays[pair]}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -282,7 +282,7 @@ class Network:
             for msg in out or ():
                 if msg.src != v:
                     raise SimError(f"node {v} forged src {msg.src} in round {rnd}")
-                if msg.dst not in self.graph.neighbor_sets[v]:
+                if not self.graph.has_edge(v, msg.dst):
                     raise SimError(
                         f"node {v} sent to non-neighbor {msg.dst} in round {rnd}"
                     )

@@ -155,7 +155,7 @@ def decompose_clusters(network: Network, component,
 
 def _adjacent(g, a, b):
     small, big = (a, b) if len(a) <= len(b) else (b, a)
-    return any(not g.neighbor_sets[v].isdisjoint(big) for v in small)
+    return any(not big.isdisjoint(g.neighbors(v)) for v in small)
 
 
 def _induced_diameter(g, nodes):
@@ -257,7 +257,7 @@ def _cluster_lists(network: Network, cluster: Cluster):
     # clusters hold a few nodes: a walk over their rows beats array passes
     return {
         v: tuple(network.palette(v)[:max(cap, 1 + sum(
-            1 for u in network.graph.neighbors[v]
+            1 for u in network.graph.neighbors(v)
             if u in cluster.nodes and color.item(u) < 0))])
         for v in cluster.nodes
     }
@@ -365,7 +365,7 @@ def color_clusters(network: Network, decomposition: ClusterDecomposition,
             for v in members:
                 if len(reduced[v]) != len(lists[v]):
                     raise SimError(f"stale colorspace map at node {v}")
-            nbrs = {v: [u for u in network.graph.neighbors[v]
+            nbrs = {v: [u for u in network.graph.neighbors(v)
                         if u in cluster.nodes] for v in members}
             pal = {(v, i): set(reduced[v]) for v in members
                    for i in range(instances)}

@@ -70,7 +70,7 @@ def compute_acd_reference(network: Network, delta: float | None = None) -> Almos
     # step 1: sample S
     in_s = [network.rng(v).random() < p_s for v in range(n)]
     # everyone learns which neighbors are sampled (one bit per edge)
-    s_nbrs = [[u for u in g.neighbors[v] if in_s[u]] for v in range(n)]
+    s_nbrs = [[u for u in g.neighbors(v) if in_s[u]] for v in range(n)]
     network.charge_phase("acd_sample", 1, 2 * g.m, 1)
 
     # step 2: gossip one sampled-neighbor ID to sampled neighbors
@@ -137,7 +137,7 @@ def compute_acd_reference(network: Network, delta: float | None = None) -> Almos
     adopted: list = [None] * n
     for v in range(n):
         recv = Counter()
-        for u in g.neighbors[v]:
+        for u in g.neighbors(v):
             if u in proposals:
                 recv[proposals[u]] += 1
         winners = [a for a, c in recv.items() if c >= adopt_threshold]
@@ -172,7 +172,7 @@ def compute_acd_reference(network: Network, delta: float | None = None) -> Almos
         max_depth = max(max_depth, depth)
         prune_msgs += 3 * (len(members) - 1)
         internal_min = min(
-            sum(1 for u in g.neighbors[v] if adopted[u] == ac) for v in members
+            sum(1 for u in g.neighbors(v) if adopted[u] == ac) for v in members
         )
         if len(members) < size_floor or internal_min < internal_floor:
             sparse |= members
@@ -196,7 +196,7 @@ def _bfs_depth(g: Graph, members: set, root: int):
     while frontier:
         nxt = []
         for u in frontier:
-            for w in g.neighbors[u]:
+            for w in g.neighbors(u):
                 if w in members and w not in seen:
                     seen.add(w)
                     nxt.append(w)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 
-from congestcolor.overlay import CliqueOverlay, _non_edges
+from congestcolor.overlay import CliqueOverlay
 from congestcolor.sim import Network, SimError
 from congestcolor.trials import multi_trial
 
@@ -54,20 +54,23 @@ def compute_overlay_reference(network: Network, clique, leader: int,
     network.tree_aggregate(members, leader, "broadcast",
                            {leader: len(members)}, phase="overlay_setup")
     m_int = sum(
-        1 for u in members for w in g.neighbors[u] if w in members
+        1 for u in members for w in g.neighbors(u) if w in members
     ) // 2
     network.charge_phase("overlay_setup", 1, 2 * m_int,
                          min(network.id_bits, network.bandwidth_bits))
 
     pending = {}
-    for u, v in _non_edges(g, members):
-        common = g.neighbor_sets[u] & g.neighbor_sets[v] & members
+    ms = sorted(members)
+    non_edges = [(u, v) for i, u in enumerate(ms) for v in ms[i + 1:]
+                 if not g.has_edge(u, v)]
+    for u, v in non_edges:
+        common = set(g.neighbors(u)) & set(g.neighbors(v)) & members
         if not common:
             raise SimError(f"non-edge ({u},{v}) has no common neighbor in clique")
         handler = max(u, v)
         # apparent palette: the handler only knows its own adjacencies, so it
         # starts from all its clique neighbors and prunes on rejections
-        apparent = set(g.neighbor_sets[handler] & members)
+        apparent = set(g.neighbors(handler)) & members
         pending[(u, v)] = [handler, apparent, common]
 
     relays = {}

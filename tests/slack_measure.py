@@ -8,6 +8,6 @@ def measure_slack(network, v: int, subgraph=None) -> int:
     if subgraph is None:
         d = int(network.udeg[v])
     else:
-        d = sum(1 for u in network.graph.neighbors[v]
+        d = sum(1 for u in network.graph.neighbors(v)
                 if u in subgraph and network.color[u] < 0)
     return network.palette_size(v) - d

@@ -4,7 +4,6 @@ import pytest
 
 from congestcolor.acd import (
     AlmostCliqueDecomposition,
-    antidegree,
     compute_acd,
     external_degree,
     verify_acd,
@@ -20,6 +19,16 @@ def dump_acd(acd: AlmostCliqueDecomposition) -> str:
         members = " ".join(str(v) for v in sorted(acd.cliques[ac]))
         lines.append(f"clique {ac} leader {acd.leaders[ac]}: {members}")
     return "\n".join(lines) + "\n"
+
+
+def antidegree(acd: AlmostCliqueDecomposition, v: int) -> int:
+    """Members of v's almost-clique that are not adjacent to v."""
+    home = acd.clique_of(v)
+    if home is None:
+        raise SimError(f"antidegree: node {v} is in the sparse set")
+    members = acd.cliques[home]
+    nbrs = set(acd.graph.neighbors(v))
+    return sum(1 for u in members if u != v and u not in nbrs)
 
 
 def net_for(g, seed, **cfg):

@@ -120,7 +120,7 @@ def test_sync_trial_single_member():
     res = synchronized_color_trial(net, acd, overlays, 1, {0: part})
     assert res == {"tried": 1, "colored": 1, "failures": 0}
     c = net.coloring()[7]
-    assert not any(net.palette_contains(u, c) for u in g.neighbors[7])
+    assert not any(net.palette_contains(u, c) for u in g.neighbors(7))
 
 
 def test_sync_trial_candidates_distinct_in_clique():

@@ -9,8 +9,6 @@ from congestcolor.graphs import (
     PaletteAssignment,
     generate,
     make_palettes,
-    save_edge_list,
-    save_palettes,
 )
 from congestcolor.harness import (
     load_results_csv,
@@ -22,6 +20,7 @@ from congestcolor.harness import (
     verdict_text,
     write_report,
 )
+from graph_oracles import save_edge_list, save_palettes
 
 
 def run_on(model, params, seed=0, **cfg):
@@ -71,6 +70,27 @@ def test_short_list_rejected_at_the_boundary():
     pal = make_palettes(g, seed=1, mode="shared")
     pal.lists[13] = frozenset((1, 2))
     with pytest.raises(ValueError, match="node 13 has 2 colors"):
+        run_pipeline(g, pal, SimConfig(), 0)
+
+
+def test_first_bad_node_in_id_order_is_named():
+    g = generate("cycle", {"n": 64}, seed=0)
+    # a short list before a missing one
+    pal = make_palettes(g, seed=1, mode="shared")
+    pal.lists[7] = frozenset((1, 2))
+    del pal.lists[20]
+    with pytest.raises(ValueError, match="node 7 has 2 colors"):
+        run_pipeline(g, pal, SimConfig(), 0)
+    # a missing list before a short one
+    pal = make_palettes(g, seed=1, mode="shared")
+    del pal.lists[7]
+    pal.lists[20] = frozenset((1, 2))
+    with pytest.raises(ValueError, match="node 7 has no color list"):
+        run_pipeline(g, pal, SimConfig(), 0)
+    # an empty list is a list: it is short, not missing
+    pal = make_palettes(g, seed=1, mode="shared")
+    pal.lists[3] = frozenset()
+    with pytest.raises(ValueError, match="node 3 has 0 colors"):
         run_pipeline(g, pal, SimConfig(), 0)
 
 

@@ -65,7 +65,7 @@ def base_and_removed(net, v):
     """v's sorted list and the colors of it that colored neighbors hold."""
     coloring = net.coloring()
     base = tuple(sorted(net.palettes.lists[v]))
-    taken = {coloring[u] for u in net.graph.neighbors[v] if u in coloring}
+    taken = {coloring[u] for u in net.graph.neighbors(v) if u in coloring}
     return base, taken & set(base)
 
 
@@ -73,7 +73,7 @@ def check_state(net):
     coloring = net.coloring()
     assert net.uncolored() == [v for v in range(net.graph.n) if v not in coloring]
     for v in range(net.graph.n):
-        nbrs = net.graph.neighbors[v]
+        nbrs = net.graph.neighbors(v)
         assert net.udeg[v] == sum(1 for u in nbrs if u not in coloring)
         base, removed = base_and_removed(net, v)
         assert net.palette(v) == sorted(set(base) - removed)
@@ -133,7 +133,7 @@ def test_batch_equals_one_at_a_time(inst, data):
     batch = {}
     for v in data.draw(st.permutations(net.uncolored())):
         free = [c for c in net.palette(v)
-                if all(batch.get(u) != c for u in g.neighbors[v])]
+                if all(batch.get(u) != c for u in g.neighbors(v))]
         if free and data.draw(st.booleans()):
             batch[v] = data.draw(st.sampled_from(free))
     nets[0].assign_colors(list(batch), list(batch.values()))

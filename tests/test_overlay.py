@@ -6,11 +6,18 @@ from congestcolor.overlay import (
     CliqueOverlay,
     RoutingRequest,
     compute_overlay,
-    dump_overlay,
     route,
     verify_overlay,
 )
 from congestcolor.sim import SimError, new_network
+
+
+def dump_overlay(overlay: CliqueOverlay) -> str:
+    lines = []
+    for pair in sorted(overlay.relays, key=sorted):
+        u, v = sorted(pair)
+        lines.append(f"{u} {v} via {overlay.relays[pair]}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def net_for(g, seed=0, **cfg):

@@ -96,7 +96,7 @@ def test_determinism_traces_match():
     def noisy(v, network, inbox, rng):
         x = int(rng.integers(1000))
         network.log(v, "draw", str(x))
-        nbrs = network.graph.neighbors[v]
+        nbrs = network.graph.neighbors(v)
         return [Message(v, nbrs[0], network.id_bits, x)] if nbrs else []
 
     runs = []
@@ -166,7 +166,7 @@ def test_bandwidth_soundness_tracked():
     net = mk(n=4)
     net.run_round(lambda v, network, inbox, rng: [
         Message(v, u, network.bandwidth_bits, None)
-        for u in network.graph.neighbors[v][:1]
+        for u in network.graph.neighbors(v)[:1]
     ])
     assert net.stats.max_edge_bits_per_round <= net.bandwidth_bits
 
