@@ -91,7 +91,7 @@ def compute_acd(network: Network, delta: float | None = None) -> AlmostCliqueDec
 
     sqrt_d = math.sqrt(big_d)
     n = g.n
-    id_bits = min(network.id_bits, network.bandwidth_bits)
+    id_bits = network.id_bits
 
     # At desk-scale Delta the literal detection thresholds sit exactly at the
     # expected gossip counts and never separate (the analysis assumes

@@ -124,10 +124,7 @@ def partition_layers(network: Network, clique, seed: int = 0) -> LayerPartition:
     inside = np.zeros(network.graph.n, dtype=bool)
     inside[ms] = True
     internal = int(inside[network.graph.rows(ms)[1]].sum())
-    network.charge_phase(
-        "dense_partition", 1, internal,
-        min(network.bandwidth_bits, max(1, (t + 1).bit_length())),
-    )
+    network.charge_phase("dense_partition", 1, internal, (t + 1).bit_length())
     return LayerPartition(t_prime, t, probs, lambdas, assignment, fallback)
 
 
@@ -146,15 +143,6 @@ def color_sparse_nodes(network: Network, acd) -> dict:
     return {"rounds": network.stats.rounds - start}
 
 
-def _parallel_discount(network: Network, deltas, phase: str):
-    """Clique work charged sequentially above actually runs on disjoint node
-    sets in the same rounds; rebook the total as the slowest clique."""
-    if len(deltas) > 1:
-        excess = sum(deltas) - max(deltas)
-        if excess:
-            network.charge_phase(phase + "_parallel", -excess, 0, 0)
-
-
 def synchronized_color_trial(network: Network, acd, overlays, layer: int,
                              partitions: dict) -> dict:
     """One leader-coordinated trial iteration on the given layer, run on all
@@ -163,65 +151,63 @@ def synchronized_color_trial(network: Network, acd, overlays, layer: int,
     logn = _log2n(network.graph.n)
     picks = {}
     failures = 0
-    deltas = []
-    for ac in sorted(acd.cliques):
-        part = partitions[ac]
-        if not 1 <= layer <= part.t - 1:
-            raise SimError(
-                f"synchronized trial needs a layer in [1, t-1], got {layer} "
-                f"(t={part.t})"
+    with network.parallel() as clique:
+        for ac in sorted(acd.cliques):
+            part = partitions[ac]
+            if not 1 <= layer <= part.t - 1:
+                raise SimError(
+                    f"synchronized trial needs a layer in [1, t-1], got {layer} "
+                    f"(t={part.t})"
+                )
+            members = frozenset(acd.cliques[ac])
+            leader = acd.leaders[ac]
+            active = sorted(
+                v for v in members
+                if part.layer(v) == layer and network.color.item(v) < 0
             )
-        members = frozenset(acd.cliques[ac])
-        leader = acd.leaders[ac]
-        active = sorted(
-            v for v in members
-            if part.layer(v) == layer and network.color.item(v) < 0
-        )
-        t0 = network.round_counter
-        # leader learns |R_i^C| and tells everyone
-        active_set = set(active)
-        network.tree_aggregate(members, leader, "sum",
-                               {v: 1 if v in active_set else 0 for v in members},
-                               phase="sync_agg")
-        network.tree_aggregate(members, leader, "broadcast",
-                               {leader: len(active)}, phase="sync_agg")
-        if not active:
-            deltas.append(network.round_counter - t0)
-            continue
-        lam_next = part.lambdas[layer + 1]
-        pi_size = math.ceil(
-            cfg.c_p * max(1.0, len(active) / max(lam_next, 1e-9)) * logn
-        )
-        sub = {}
-        for v in active:
-            size = min(pi_size, network.palette_size(v))
-            if size < pi_size and network.trace is not None:
-                network.log(v, "subpalette_clamp", f"{pi_size}->{size}")
-            sub[v] = network.sample_colors(v, network.rng(v), size)
-        ship = [RoutingRequest(v, leader, size=len(sub[v]))
-                for v in active if v != leader]
-        if ship:
-            route(network, overlays[ac], ship)
-        taken = set()
-        leader_rng = network.rng(leader)
-        granted = []
-        for v in active:            # ascending-ID assignment order
-            avail = [c for c in sub[v] if c not in taken]
-            if not avail:
-                failures += 1
-                if network.trace is not None:
-                    network.log(v, "assignment_failure", f"layer={layer}")
-                continue
-            c = avail[int(leader_rng.integers(len(avail)))]
-            taken.add(c)
-            picks[v] = c
-            granted.append(v)
-        back = [RoutingRequest(leader, v, size=1)
-                for v in granted if v != leader]
-        if back:
-            route(network, overlays[ac], back)
-        deltas.append(network.round_counter - t0)
-    _parallel_discount(network, deltas, "sync_trial")
+            with clique():
+                # leader learns |R_i^C| and tells everyone
+                active_set = set(active)
+                network.tree_aggregate(
+                    members, leader, "sum",
+                    {v: 1 if v in active_set else 0 for v in members},
+                    phase="sync_agg")
+                network.tree_aggregate(members, leader, "broadcast",
+                                       {leader: len(active)}, phase="sync_agg")
+                if not active:
+                    continue
+                lam_next = part.lambdas[layer + 1]
+                pi_size = math.ceil(
+                    cfg.c_p * max(1.0, len(active) / max(lam_next, 1e-9)) * logn
+                )
+                sub = {}
+                for v in active:
+                    size = min(pi_size, network.palette_size(v))
+                    if size < pi_size and network.trace is not None:
+                        network.log(v, "subpalette_clamp", f"{pi_size}->{size}")
+                    sub[v] = network.sample_colors(v, network.rng(v), size)
+                ship = [RoutingRequest(v, leader, size=len(sub[v]))
+                        for v in active if v != leader]
+                if ship:
+                    route(network, overlays[ac], ship)
+                taken = set()
+                leader_rng = network.rng(leader)
+                granted = []
+                for v in active:            # ascending-ID assignment order
+                    avail = [c for c in sub[v] if c not in taken]
+                    if not avail:
+                        failures += 1
+                        if network.trace is not None:
+                            network.log(v, "assignment_failure", f"layer={layer}")
+                        continue
+                    c = avail[int(leader_rng.integers(len(avail)))]
+                    taken.add(c)
+                    picks[v] = c
+                    granted.append(v)
+                back = [RoutingRequest(leader, v, size=1)
+                        for v in granted if v != leader]
+                if back:
+                    route(network, overlays[ac], back)
     colored = try_color_round(network, picks, phase="sync_trial") if picks else []
     return {"tried": len(picks), "colored": len(colored), "failures": failures}
 
@@ -262,12 +248,10 @@ def color_dense_nodes(network: Network, acd, overlays, seed: int = 0) -> dict:
                 "trajectory": trajectory, "failures": 0}
 
     partitions = {}
-    part_deltas = []
-    for ac in sorted(acd.cliques):
-        t0 = network.round_counter
-        partitions[ac] = partition_layers(network, acd.cliques[ac], seed)
-        part_deltas.append(network.round_counter - t0)
-    _parallel_discount(network, part_deltas, "dense_partition")
+    with network.parallel() as clique:
+        for ac in sorted(acd.cliques):
+            with clique():
+                partitions[ac] = partition_layers(network, acd.cliques[ac], seed)
     t = next(iter(partitions.values())).t
 
     # bulk layer: log-log many plain trials, then the low-degree finisher

@@ -41,8 +41,10 @@ class Graph:
             _reject(n, u, v, bad)
         self.n = n
         self.m = len(u)
+        del e, u, v
+        # the heads overwrite the keys: no temporary as large as the keys
         self.edge_src = keys // n
-        self.indices = keys - self.edge_src * n
+        self.indices = np.remainder(keys, n, out=keys)
         self.degrees = np.bincount(self.edge_src, minlength=n)
         self.delta = int(self.degrees.max())
         self.indptr = np.zeros(n + 1, dtype=np.int64)
@@ -206,7 +208,9 @@ def _planted_almost_cliques(params: dict, rng) -> Graph:
         # groups are contiguous blocks, so the cross pairs above u form the
         # contiguous tail [end-of-u's-group, n)
         parts.append(_row_draws(rng, n, (np.arange(n) // size + 1) * size, inter_p))
-    return Graph(n, np.concatenate(parts))
+    edges = np.concatenate(parts)
+    del parts
+    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------

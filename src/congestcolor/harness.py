@@ -21,12 +21,7 @@ import numpy as np
 
 from .acd import compute_acd
 from .config import SimConfig
-from .dense_sparse import (
-    _parallel_discount,
-    color_dense_nodes,
-    color_sparse_nodes,
-    trajectory_csv,
-)
+from .dense_sparse import color_dense_nodes, color_sparse_nodes, trajectory_csv
 from .graphs import Graph, PaletteAssignment, generate, make_palettes, verify_coloring
 from .overlay import compute_overlay, verify_overlay
 from .sim import SimError, bandwidth_bits, new_network
@@ -104,23 +99,21 @@ def run_pipeline(graph: Graph, palettes: PaletteAssignment, config: SimConfig,
         }
         overlays = {}
         # disjoint cliques build their overlays in the same simulated rounds
-        overlay_deltas = []
-        for ac in sorted(acd.cliques):
-            t0 = net.round_counter
-            ov = compute_overlay(net, acd.cliques[ac], acd.leaders[ac], ac,
-                                 epsilon=float(acd.epsilon))
-            overlay_deltas.append(net.round_counter - t0)
-            rep = verify_overlay(graph, ov)
-            if not rep.ok:
-                raise SimError(
-                    f"overlay audit failed for clique {ac}: {rep.violations[:2]}"
-                )
-            overlays[ac] = ov
-            overlay_info[str(ac)] = {
-                "relays": len(ov.relays),
-                "max_congestion": max(ov.edge_congestion.values(), default=0),
-            }
-        _parallel_discount(net, overlay_deltas, "overlay_build")
+        with net.parallel() as clique:
+            for ac in sorted(acd.cliques):
+                with clique():
+                    ov = compute_overlay(net, acd.cliques[ac], acd.leaders[ac], ac,
+                                         epsilon=float(acd.epsilon))
+                rep = verify_overlay(graph, ov)
+                if not rep.ok:
+                    raise SimError(
+                        f"overlay audit failed for clique {ac}: {rep.violations[:2]}"
+                    )
+                overlays[ac] = ov
+                overlay_info[str(ac)] = {
+                    "relays": len(ov.relays),
+                    "max_congestion": max(ov.edge_congestion.values(), default=0),
+                }
         slack_generation(net)
         color_sparse_nodes(net, acd)
         dense = color_dense_nodes(net, acd, overlays)

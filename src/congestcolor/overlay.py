@@ -118,8 +118,7 @@ def compute_overlay(network: Network, clique, leader: int,
     ms = np.array(sorted(members), dtype=np.int64)
     block = _adjacency_block(g, ms)
     m_int = int(block.sum()) // 2
-    network.charge_phase("overlay_setup", 1, 2 * m_int,
-                         min(network.id_bits, network.bandwidth_bits))
+    network.charge_phase("overlay_setup", 1, 2 * m_int, network.id_bits)
 
     # non-edges (ms[i], ms[j]) with i < j, in row-major order
     iu, iv = np.nonzero(np.triu(~block, 1))
@@ -202,8 +201,7 @@ def compute_overlay(network: Network, clique, leader: int,
         for pair, w in granted.items():
             relays[frozenset(pair)] = w
             del pending[pair]
-        network.charge_phase("overlay_pair", 2, messages,
-                             min(grant_bits, network.bandwidth_bits))
+        network.charge_phase("overlay_pair", 2, messages, grant_bits)
 
     # duplicate candidates within one handler are dropped (not colored this
     # round), mirroring the one-message-per-edge constraint
@@ -351,6 +349,8 @@ def route(network: Network, overlay: CliqueOverlay, requests) -> int:
                 messages += 1
         if rounds > 10_000:
             raise SimError("routing scheduler failed to make progress")
+    # a unit wider than the budget crosses its edge over several rounds
+    rounds *= network.chunks(units_per_round * network.color_bits)
     network.charge_phase(
         "route", rounds, messages,
         min(units_per_round * network.color_bits, network.bandwidth_bits),

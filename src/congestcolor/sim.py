@@ -1,13 +1,17 @@
-"""Round-synchronous message-passing engine with per-edge bit budgets.
+"""Round-synchronous network simulation with per-edge bit budgets.
 
-Two execution paths share the same accounting:
+Every primitive books its cost through `charge_phase`: rounds and messages
+computed arithmetically (vectorized color trials, tree aggregation, overlay
+routing), after asserting that the widest per-edge load fits the budget. A
+value wider than the budget is charged over `chunks(bits)` rounds. The
+literal message-by-message engine that these charges are checked against
+lives in the tests.
 
-* `run_round` executes literal per-node handlers and enforces the bit budget
-  message by message (this is the CONGEST-compliance check: a violation is a
-  hard failure naming the node, round, and size).
-* `charge_phase` books rounds/messages for bulk primitives (vectorized color
-  trials, tree aggregation, overlay routing) whose per-edge load is computed
-  arithmetically; it asserts the same per-edge bound before booking.
+Work on disjoint node sets runs in the same rounds: inside
+`with network.parallel() as branch:`, each `with branch():` books into its
+own ledger, and the block then books, per phase, the most rounds any one
+branch spent in it, together with all branches' messages and the widest
+edge load. No ledger entry is ever negative.
 
 Per-node randomness is an independent stream derived from
 (master_seed, node id), so node scheduling order cannot perturb draws. Node
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -42,14 +46,6 @@ class BandwidthError(SimError):
 
 
 @dataclass
-class Message:
-    src: int
-    dst: int
-    size: int            # bits
-    data: object = None
-
-
-@dataclass
 class RoundStats:
     rounds: int = 0
     total_messages: int = 0
@@ -63,6 +59,20 @@ class RoundStats:
             self.max_edge_bits_per_round, max_edge_bits
         )
         self.per_phase[phase] = self.per_phase.get(phase, 0) + rounds
+
+    def join(self, branches):
+        """Book ledgers of branches that ran side by side, starting at this
+        ledger's current round: per phase the most rounds one branch spent
+        in it, all their messages and the widest edge load."""
+        longest = {}
+        for b in branches:
+            self.total_messages += b.total_messages
+            self.max_edge_bits_per_round = max(self.max_edge_bits_per_round,
+                                               b.max_edge_bits_per_round)
+            for phase, rounds in b.per_phase.items():
+                longest[phase] = max(longest.get(phase, 0), rounds)
+        for phase, rounds in longest.items():
+            self.add(phase, rounds, 0, 0)
 
     def snapshot(self) -> dict:
         return {
@@ -197,8 +207,7 @@ class Network:
                 f"bandwidth {self.bandwidth_bits} bits below one-ID capacity "
                 f"({self.id_bits} bits)"
             )
-        self.round_counter = 0
-        self.stats = RoundStats()
+        self.stats = RoundStats()     # the current ledger; see `parallel`
         self.color = np.full(n, -1, dtype=np.int64)
         self.udeg = graph.degrees.copy()
         self.layer = np.full(n, -1, dtype=np.int64)
@@ -224,7 +233,6 @@ class Network:
         self.live = sizes
         self._rngs: dict = {}
         self._seed_words = None       # (n, 4) PCG64 seeds, on the first draw
-        self._inboxes: dict = defaultdict(list)
         self._tree_cache: dict = {}
         self.trace: list = [] if config.trace else None
 
@@ -250,61 +258,50 @@ class Network:
 
     def charge_phase(self, phase: str, rounds: int, messages: int = 0,
                      max_edge_bits: int = 0):
+        if rounds < 0:
+            raise SimError(f"phase {phase}: negative rounds {rounds}")
         if max_edge_bits > self.bandwidth_bits:
             raise BandwidthError(
                 f"phase {phase}: {max_edge_bits} bits on an edge exceeds "
                 f"budget {self.bandwidth_bits}"
             )
-        self.round_counter += rounds
         self.stats.add(phase, rounds, messages, max_edge_bits)
+
+    @property
+    def round_counter(self) -> int:
+        """The current round: the rounds booked so far, inside a parallel
+        branch counted from the start of its block."""
+        return self.stats.rounds
+
+    @contextmanager
+    def parallel(self):
+        """Run work on disjoint node sets in the same rounds.
+
+        Yields `branch`; each `with branch():` books into a fresh ledger that
+        starts at the block's start round. On exit the block books the
+        branches' ledgers with `RoundStats.join`. Blocks nest.
+        """
+        parent = self.stats
+        start = parent.rounds
+        branches = []
+
+        @contextmanager
+        def branch():
+            if self.stats is not parent:
+                raise SimError("a parallel branch must run directly in its block")
+            self.stats = RoundStats(rounds=start)
+            try:
+                yield
+                branches.append(self.stats)
+            finally:
+                self.stats = parent
+
+        yield branch
+        parent.join(branches)
 
     def log(self, node: int, event: str, detail: str = ""):
         if self.trace is not None:
             self.trace.append((self.round_counter, node, event, detail))
-
-    # -- literal handler execution ------------------------------------------
-
-    def run_round(self, handler, phase: str = "round"):
-        """Execute one synchronous round.
-
-        handler(v, network, inbox, rng) -> iterable of Message; messages must
-        target neighbors and fit the per-edge bit budget. All outboxes are
-        exchanged atomically; delivery happens in the next round's inbox.
-        """
-        n = self.graph.n
-        inboxes = self._inboxes
-        next_inboxes = defaultdict(list)
-        edge_bits = defaultdict(int)
-        messages = 0
-        rnd = self.round_counter
-        for v in range(n):
-            out = handler(v, self, inboxes.get(v, []), self.rng(v))
-            for msg in out or ():
-                if msg.src != v:
-                    raise SimError(f"node {v} forged src {msg.src} in round {rnd}")
-                if not self.graph.has_edge(v, msg.dst):
-                    raise SimError(
-                        f"node {v} sent to non-neighbor {msg.dst} in round {rnd}"
-                    )
-                if msg.size > self.bandwidth_bits:
-                    raise BandwidthError(
-                        f"node {v} emitted {msg.size} bits in round {rnd} "
-                        f"(budget {self.bandwidth_bits})"
-                    )
-                key = (v, msg.dst)
-                edge_bits[key] += msg.size
-                if edge_bits[key] > self.bandwidth_bits:
-                    raise BandwidthError(
-                        f"node {v} exceeded edge budget to {msg.dst} in round "
-                        f"{rnd}: {edge_bits[key]} > {self.bandwidth_bits}"
-                    )
-                next_inboxes[msg.dst].append(msg)
-                messages += 1
-        self._inboxes = next_inboxes
-        self.round_counter += 1
-        max_bits = max(edge_bits.values(), default=0)
-        self.stats.add(phase, 1, messages, max_bits)
-        return {"rounds": 1, "messages": messages, "max_edge_bits": max_bits}
 
     # -- permanent coloring bookkeeping -------------------------------------
 

@@ -96,10 +96,8 @@ def shatter(network: Network, subgraph) -> list:
             components.append(sorted(dist))
             max_diam = max(max_diam, max(dist.values()))
     if components:
-        network.charge_phase(
-            "small_components", max(1, max_diam), edge_count,
-            min(network.id_bits, network.bandwidth_bits),
-        )
+        network.charge_phase("small_components", max(1, max_diam), edge_count,
+                             network.id_bits)
     return components
 
 
@@ -133,8 +131,7 @@ def decompose_clusters(network: Network, component,
         # nothing unless r_cluster cut the search off), plus one
         carve_rounds += min(tree_depth + 1, r_cluster) + 1
         msgs += len(ball) - 1
-    network.charge_phase("small_decompose", carve_rounds, msgs,
-                         min(network.id_bits, network.bandwidth_bits))
+    network.charge_phase("small_decompose", carve_rounds, msgs, network.id_bits)
 
     # greedy class assignment on the cluster adjacency graph
     classes: list = []
@@ -341,20 +338,22 @@ def color_clusters(network: Network, decomposition: ClusterDecomposition,
         if not live:
             continue
         plans = []
-        for cluster in live:
-            cmap = colormaps[cluster]
-            lists = _cluster_lists(network, cluster)
-            if tuple(sorted(lists.items())) != cmap.lists_snapshot:
-                # palettes changed since the map was certified: re-derive
-                cmap = reduce_colorspace(network, cluster)
-                colormaps[cluster] = cmap
-            plans.append((cluster, cmap, lists))
+        with network.parallel() as rederive:
+            for cluster in live:
+                lists = _cluster_lists(network, cluster)
+                if tuple(sorted(lists.items())) != colormaps[cluster].lists_snapshot:
+                    # palettes changed since the map was certified: re-derive
+                    with rederive():
+                        colormaps[cluster] = reduce_colorspace(network, cluster)
+                plans.append((cluster, colormaps[cluster], lists))
 
         iters = max(1, math.ceil(cfg.instance_mult * math.log2(max(
             4, max(p[1].n_bound for p in plans)))))
         width = max(1, math.ceil(math.log2(max(p[1].p for p in plans))))
         pack = max(1, network.bandwidth_bits // width)
-        rounds_per_iter = 2 * math.ceil(instances / pack)
+        # a packed message wider than the budget (width alone exceeds it)
+        # is split over several rounds
+        rounds_per_iter = 2 * math.ceil(instances / pack) * network.chunks(pack * width)
         cluster_msgs = 0
 
         winners = {}
@@ -418,11 +417,16 @@ def color_small_degree(network: Network, subgraph) -> dict:
     per-stage round usage."""
     start = network.stats.rounds
     components = shatter(network, subgraph)
-    for comp in components:
-        decomp = decompose_clusters(network, comp)
-        colormaps = {c: reduce_colorspace(network, c)
-                     for c in decomp.all_clusters()}
-        color_clusters(network, decomp, colormaps)
+    with network.parallel() as component:
+        for comp in components:
+            with component():
+                decomp = decompose_clusters(network, comp)
+                colormaps = {}
+                with network.parallel() as cluster:
+                    for c in decomp.all_clusters():
+                        with cluster():
+                            colormaps[c] = reduce_colorspace(network, c)
+                color_clusters(network, decomp, colormaps)
     leftovers = [v for v in subgraph if network.color.item(v) < 0]
     if leftovers:
         raise SimError(f"low-degree coloring left {len(leftovers)} nodes uncolored")

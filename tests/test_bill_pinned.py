@@ -30,15 +30,15 @@ _DENSE = dict(c_small=0.002, c_layer=0.25)
 PINNED = {
     "cycle512_seed1": (
         "cycle", {"n": 512}, 1, {},
-        {"small_shatter": 10, "small_components": 1, "small_decompose": 24,
-         "small_reduce": 216, "small_color": 516},
+        {"small_shatter": 10, "small_components": 1, "small_decompose": 2,
+         "small_reduce": 18, "small_color": 43},
         3736, 36,
         "1590302b53a57fb593918f6b1880618c14c71da3222152e558ae5a018c0e777a",
     ),
     "cycle512_seed2": (
         "cycle", {"n": 512}, 2, {},
-        {"small_shatter": 10, "small_components": 1, "small_decompose": 16,
-         "small_reduce": 144, "small_color": 344},
+        {"small_shatter": 10, "small_components": 1, "small_decompose": 2,
+         "small_reduce": 18, "small_color": 43},
         3248, 36,
         "a07436cb2398fa3a6882c81812d4ef9409a277d0811cdecd577ece5679ad125d",
     ),
@@ -60,11 +60,9 @@ PINNED = {
     "planted_k2_d64_dense": (
         "planted_almost_cliques",
         {"k": 2, "delta": 64, "removal": 0.03, "inter_p": 0.0}, 1, _DENSE,
-        {**_ACD, "overlay_setup": 10, "overlay_pair": 12,
-         "overlay_build_parallel": -11, "slack_generation": 2,
-         "dense_partition": 2, "dense_partition_parallel": -1, "dense_r0": 10,
-         "dense_layer_rct": 2, "sync_agg": 8, "sync_trial_parallel": -4,
-         "small_shatter": 2},
+        {**_ACD, "overlay_setup": 5, "overlay_pair": 6, "slack_generation": 2,
+         "dense_partition": 1, "dense_r0": 10, "dense_layer_rct": 2,
+         "sync_agg": 4, "small_shatter": 2},
         108723, 17,
         "297d058ef9c6fb904e01966f04fc5dd44153e4d018ab9bf6add47bdd78331f01",
     ),
@@ -74,10 +72,8 @@ PINNED = {
         "planted_almost_cliques",
         {"k": 2, "delta": 43, "removal": 0.03, "inter_p": 0.0}, 1,
         {**_DENSE, "k4": 0},
-        {**_ACD, "overlay_setup": 10, "overlay_pair": 10,
-         "overlay_build_parallel": -9, "slack_generation": 2,
-         "dense_partition": 2, "dense_partition_parallel": -1, "dense_r0": 10,
-         "sync_agg": 8, "route": 12, "sync_trial_parallel": -8,
+        {**_ACD, "overlay_setup": 5, "overlay_pair": 6, "slack_generation": 2,
+         "dense_partition": 1, "dense_r0": 10, "sync_agg": 4, "route": 8,
          "sync_trial": 2, "small_shatter": 2},
         53823, 26,
         "5b1c729ead0b0748cbff057ee80c0f41bfb106084f13b6d5d7b132b1a6e55fcf",
@@ -97,3 +93,13 @@ def test_bill_matches_pinned_literals(name):
     assert stats["max_edge_bits_per_round"] == edge_bits
     coloring = json.dumps(sorted(report.coloring.items()))
     assert hashlib.sha256(coloring.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_bill_has_no_negative_phase_and_adds_up(name):
+    model, params, seed, cfg = PINNED[name][:4]
+    g = generate(model, params, seed)
+    pal = make_palettes(g, seed=seed + 1, mode="shared")
+    stats = run_pipeline(g, pal, SimConfig(**cfg), seed).stats
+    assert min(stats["per_phase"].values()) >= 0
+    assert sum(stats["per_phase"].values()) == stats["rounds"]

@@ -176,6 +176,24 @@ def test_route_counts_every_delivery():
     assert len(reqs) <= sent <= 2 * len(reqs)
 
 
+def test_overwide_color_routed_over_several_rounds():
+    # 21-bit colors against an 8-bit budget: each unit crosses its edge in
+    # three rounds, so the same requests cost more than under a budget that
+    # fits one color exactly
+    g = generate("complete", {"n": 8}, seed=0)
+    pal = make_palettes(g, seed=1, colorspace_size=2 ** 20)
+    ov = CliqueOverlay(0, frozenset(range(8)), {}, {})
+    reqs = [RoutingRequest(0, v, size=2) for v in range(1, 8)]
+    rounds = {}
+    for budget in (8, 21):
+        net = new_network(g, pal, SimConfig(bandwidth_bits=budget), 0)
+        assert net.color_bits == 21
+        rounds[budget] = route(net, ov, reqs)
+        assert net.stats.max_edge_bits_per_round <= budget
+        assert net.stats.per_phase["route"] == rounds[budget]
+    assert rounds == {8: 2 * 3, 21: 2}
+
+
 def test_subpalette_gather_rounds_within_cap():
     # everyone ships ~log n colors to the leader at Delta = 128
     r_cap = 12                       # routing round ceiling

@@ -2,7 +2,8 @@ import pytest
 
 from congestcolor.config import SimConfig
 from congestcolor.graphs import generate, make_palettes
-from congestcolor.sim import BandwidthError, Message, SimError, new_network
+from congestcolor.sim import BandwidthError, SimError, new_network
+from literal_engine import LiteralEngine, Message
 
 
 def mk(graph_model="complete", n=3, seed=7, **cfg):
@@ -27,7 +28,7 @@ def test_bandwidth_floor_rejected():
 
 def test_silent_round():
     net = mk()
-    delta = net.run_round(lambda v, net_, inbox, rng: [])
+    delta = LiteralEngine(net).run_round(lambda v, net_, inbox, rng: [])
     assert delta["messages"] == 0
     assert net.round_counter == 1
 
@@ -38,7 +39,7 @@ def test_k2_id_exchange():
     def handler(v, network, inbox, rng):
         return [Message(v, 1 - v, network.id_bits, v)]
 
-    delta = net.run_round(handler)
+    delta = LiteralEngine(net).run_round(handler)
     assert delta["messages"] == 2
     assert delta["max_edge_bits"] == net.id_bits
 
@@ -52,7 +53,7 @@ def test_oversize_message_names_node():
         return []
 
     with pytest.raises(BandwidthError, match="node 1"):
-        net.run_round(handler)
+        LiteralEngine(net).run_round(handler)
 
 
 def test_edge_budget_accumulates():
@@ -63,7 +64,7 @@ def test_edge_budget_accumulates():
         return [Message(v, 1 - v, b // 2 + 1, None), Message(v, 1 - v, b // 2 + 1, None)]
 
     with pytest.raises(BandwidthError):
-        net.run_round(handler)
+        LiteralEngine(net).run_round(handler)
 
 
 def test_non_neighbor_rejected():
@@ -75,7 +76,7 @@ def test_non_neighbor_rejected():
         return []
 
     with pytest.raises(SimError, match="non-neighbor"):
-        net.run_round(handler)
+        LiteralEngine(net).run_round(handler)
 
 
 def test_synchrony_one_round_delay():
@@ -86,8 +87,9 @@ def test_synchrony_one_round_delay():
         seen.setdefault(network.round_counter, {})[v] = [m.data for m in inbox]
         return [Message(v, 1 - v, network.id_bits, f"r{network.round_counter}-{v}")]
 
-    net.run_round(handler)
-    net.run_round(handler)
+    engine = LiteralEngine(net)
+    engine.run_round(handler)
+    engine.run_round(handler)
     assert seen[0] == {0: [], 1: []}
     assert sorted(seen[1][0]) == ["r0-1"]
 
@@ -102,14 +104,16 @@ def test_determinism_traces_match():
     runs = []
     for _ in range(2):
         net = mk(n=4, trace=True)
+        engine = LiteralEngine(net)
         for _ in range(100):
-            net.run_round(noisy)
+            engine.run_round(noisy)
         runs.append((net.trace, net.stats.snapshot()))
     assert runs[0] == runs[1]
 
     other = mk(n=4, seed=8, trace=True)
+    engine = LiteralEngine(other)
     for _ in range(100):
-        other.run_round(noisy)
+        engine.run_round(noisy)
     assert other.trace != runs[0][0]
 
 
@@ -164,7 +168,7 @@ def test_wide_value_split_charges_more_rounds():
 
 def test_bandwidth_soundness_tracked():
     net = mk(n=4)
-    net.run_round(lambda v, network, inbox, rng: [
+    LiteralEngine(net).run_round(lambda v, network, inbox, rng: [
         Message(v, u, network.bandwidth_bits, None)
         for u in network.graph.neighbors(v)[:1]
     ])

@@ -11,6 +11,7 @@ from congestcolor.graphs import (
     make_palettes,
     verify_coloring,
 )
+from congestcolor.harness import run_pipeline
 from congestcolor.sim import SimError, new_network
 from congestcolor.small_degree import (
     ClusterDecomposition,
@@ -96,6 +97,25 @@ def test_single_node_list():
     assert cmap.g < cmap.p
     color_clusters(net, decomp, {cluster: cmap})
     assert net.color[0] == 42
+
+
+def test_overwide_packed_trial_split_over_rounds():
+    # the single-node instance above, whose reduced colors are 8 bits wide:
+    # a 4-bit budget sends each packed message over two rounds, so it costs
+    # more than a budget that fits one color exactly
+    bills = {}
+    for budget in (4, 8):
+        g = Graph(1, [])
+        pal = PaletteAssignment(64, {0: frozenset({42})})
+        net = new_network(g, pal, SimConfig(bandwidth_bits=budget), 0)
+        decomp, cluster = single_cluster(net, [0])
+        cmap = reduce_colorspace(net, cluster)
+        assert math.ceil(math.log2(cmap.p)) == 8
+        color_clusters(net, decomp, {cluster: cmap})
+        assert net.color[0] == 42
+        assert net.stats.max_edge_bits_per_round <= budget
+        bills[budget] = net.stats.per_phase["small_color"]
+    assert bills[4] > bills[8]
 
 
 def test_reduction_small_prime_exhaustive():
@@ -237,3 +257,14 @@ def test_dump_format():
     lines = text.strip().splitlines()
     assert all(line.startswith("class ") and ":" in line for line in lines)
     assert isinstance(decomp, ClusterDecomposition)
+
+
+def test_cycle_bill_does_not_grow_linearly():
+    # shattered components are colored side by side, so 16 times the nodes
+    # must cost less than twice the rounds
+    bills = {}
+    for n in (2 ** 10, 2 ** 14):
+        g = generate("cycle", {"n": n}, 1)
+        pal = make_palettes(g, seed=2, mode="shared")
+        bills[n] = run_pipeline(g, pal, SimConfig(), 1).stats["rounds"]
+    assert bills[2 ** 14] < 2 * bills[2 ** 10]
