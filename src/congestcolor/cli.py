@@ -83,10 +83,19 @@ def cmd_verify(args) -> int:
         graph = load_edge_list(fh.read())
     coloring = {}
     with open(args.coloring) as fh:
-        for line in fh:
-            if line.strip():
-                v, c = line.split()
-                coloring[int(v)] = int(c)
+        for i, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                v, c = map(int, line.split())
+                problem = f"node {v} is listed twice" if v in coloring else ""
+            except ValueError:
+                problem = f"expected '<node> <color>', got {line.strip()!r}"
+            if problem:
+                print(f"verify: {args.coloring} line {i}: {problem}",
+                      file=sys.stderr)
+                return 2
+            coloring[v] = c
     if args.palettes:
         with open(args.palettes) as fh:
             palettes = load_palettes(fh.read())

@@ -278,26 +278,28 @@ class Network:
         """Run work on disjoint node sets in the same rounds.
 
         Yields `branch`; each `with branch():` books into a fresh ledger that
-        starts at the block's start round. On exit the block books the
-        branches' ledgers with `RoundStats.join`. Blocks nest.
+        starts at the block's start round, and `with branch(key):` resumes
+        the ledger of the block's earlier `branch(key)`, so one branch can
+        run in several pieces. On exit the block books the branches' ledgers
+        with `RoundStats.join`. Blocks nest.
         """
         parent = self.stats
         start = parent.rounds
-        branches = []
+        branches = {}
 
         @contextmanager
-        def branch():
+        def branch(key=None):
             if self.stats is not parent:
                 raise SimError("a parallel branch must run directly in its block")
-            self.stats = RoundStats(rounds=start)
+            self.stats = branches.get(key) or RoundStats(rounds=start)
             try:
                 yield
-                branches.append(self.stats)
+                branches[object() if key is None else key] = self.stats
             finally:
                 self.stats = parent
 
         yield branch
-        parent.join(branches)
+        parent.join(branches.values())
 
     def log(self, node: int, event: str, detail: str = ""):
         if self.trace is not None:

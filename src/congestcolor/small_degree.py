@@ -6,18 +6,23 @@ classes; each cluster deterministically computes a list-size-preserving map
 from the huge original colorspace into one of size poly(cluster size), so that
 a reduced color fits in a few bits; finally many parallel trial instances run
 per cluster with their candidates packed into shared messages, and the cluster
-adopts one instance that colored every member.
+adopts one instance that colored every member. The post-shattering stage is
+one batch: every component is decomposed and reduced in its own branch of one
+parallel block, then class j of all components runs its trials in the same
+array passes, each component keeping the iterations, instance choice and
+charge it would have alone.
 
 The colorspace reduction assigns each original color a distinct low-degree
 polynomial over a prime field and maps it to the polynomial's value at a
 common evaluation point g; g is fixed bit by bit via conditional expectation
-so that no node's list shrinks. The cluster decomposition here is a
-deterministic BFS ball-carving stand-in with the same interface and audited
-outputs (independent classes, bounded weak diameter).
+so that no node's list shrinks, once per multiset of lists. The cluster
+decomposition here is a deterministic BFS ball-carving stand-in with the same
+interface and audited outputs (independent classes, bounded weak diameter).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -260,18 +265,16 @@ def _cluster_lists(network: Network, cluster: Cluster):
     }
 
 
-def reduce_colorspace(network: Network, cluster: Cluster) -> ColorMap:
-    """Deterministically pick an evaluation point g whose induced map keeps
-    every member's list size intact (hard-checked)."""
-    lists = _cluster_lists(network, cluster)
-    n_bound = max(3, len(cluster.nodes), cluster.diameter + 1,
-                  max(len(l) for l in lists.values()))
-    c0, p, degree = _field(n_bound, network.palettes.colorspace_size)
-
+@functools.lru_cache(maxsize=1 << 12)
+def _evaluation_point(lists: tuple, p: int, degree: int, ell: int,
+                      scale: int) -> int:
+    """The point g fixed bit by bit for a cluster whose members hold `lists`.
+    Per-node counts add up as integers, so g depends on the multiset of lists
+    alone, and clusters with equal lists share one computation."""
     # collision sets: the evaluation points where some pair of one node's
     # colors collides
-    collision = {}
-    for v, pal in lists.items():
+    collision = []
+    for pal in lists:
         bad = set()
         for i, a in enumerate(pal):
             pa = _color_poly(a, p, degree)
@@ -279,10 +282,8 @@ def reduce_colorspace(network: Network, cluster: Cluster) -> ColorMap:
                 pb = _color_poly(b, p, degree)
                 diff = [(x - y) % p for x, y in zip(pa, pb)]
                 bad.update(_roots_mod_p(diff, p))
-        collision[v] = np.array(sorted(bad), dtype=np.int64)
+        collision.append(np.array(sorted(bad), dtype=np.int64))
 
-    ell = max(1, math.ceil(math.log2(p)))
-    scale = n_bound ** 5            # fixed-point denominator for expectations
     prefix = 0
     for i in range(1, ell + 1):
         span = 1 << (ell - i)
@@ -291,7 +292,7 @@ def reduce_colorspace(network: Network, cluster: Cluster) -> ColorMap:
             lo = (prefix << 1 | b) << (ell - i)
             hi = min(lo + span, p)
             total = 0
-            for v, bad in collision.items():
+            for bad in collision:
                 count = int(np.searchsorted(bad, hi) - np.searchsorted(bad, lo)) \
                     if hi > lo else 0
                 exact = count / span
@@ -299,16 +300,24 @@ def reduce_colorspace(network: Network, cluster: Cluster) -> ColorMap:
             y_term = max(0, (lo + span) - max(lo, p)) / span
             scores.append(total / scale + y_term)
         prefix = prefix << 1 | (0 if scores[0] <= scores[1] else 1)
-    g_point = prefix
-    depth = max(1, cluster.tree_depth)
-    width = network.chunks(max(1, math.ceil(math.log2(scale * n_bound + 1))))
-    network.charge_phase(
-        "small_reduce", ell * 2 * depth * width,
-        ell * 2 * (len(cluster.nodes) - 1), min(
-            network.bandwidth_bits,
-            max(1, math.ceil(math.log2(scale * n_bound + 1)))),
-    )
+    return prefix
 
+
+def reduce_colorspace(network: Network, cluster: Cluster) -> ColorMap:
+    """Deterministically pick an evaluation point g whose induced map keeps
+    every member's list size intact (hard-checked)."""
+    lists = _cluster_lists(network, cluster)
+    n_bound = max(3, len(cluster.nodes), cluster.diameter + 1,
+                  max(len(l) for l in lists.values()))
+    c0, p, degree = _field(n_bound, network.palettes.colorspace_size)
+    ell = max(1, math.ceil(math.log2(p)))
+    scale = n_bound ** 5            # fixed-point denominator for expectations
+    g_point = _evaluation_point(tuple(sorted(lists.values())), p, degree,
+                                ell, scale)
+    bits = max(1, math.ceil(math.log2(scale * n_bound + 1)))
+    network.charge_phase(
+        "small_reduce", ell * 2 * max(1, cluster.tree_depth) * network.chunks(bits),
+        ell * 2 * (len(cluster.nodes) - 1), min(network.bandwidth_bits, bits))
     if g_point >= p:
         raise SimError("colorspace reduction fixed an out-of-field point")
     cmap = ColorMap(n_bound, c0, p, degree, g_point,
@@ -328,106 +337,158 @@ def color_clusters(network: Network, decomposition: ClusterDecomposition,
     """Color every cluster, class by class, via packed parallel trial
     instances; each cluster adopts an instance that colored all its members.
     Returns per-phase round usage."""
-    cfg = network.config
     start = network.stats.rounds
-    n = network.graph.n
-    instances = max(1, math.ceil(cfg.instance_mult * math.log2(max(4, n))))
-    for cls in decomposition.classes:
-        live = [c for c in cls
-                if any(network.color.item(v) < 0 for v in c.nodes)]
-        if not live:
-            continue
-        plans = []
-        with network.parallel() as rederive:
-            for cluster in live:
-                lists = _cluster_lists(network, cluster)
-                if tuple(sorted(lists.items())) != colormaps[cluster].lists_snapshot:
-                    # palettes changed since the map was certified: re-derive
-                    with rederive():
-                        colormaps[cluster] = reduce_colorspace(network, cluster)
-                plans.append((cluster, colormaps[cluster], lists))
-
-        iters = max(1, math.ceil(cfg.instance_mult * math.log2(max(
-            4, max(p[1].n_bound for p in plans)))))
-        width = max(1, math.ceil(math.log2(max(p[1].p for p in plans))))
-        pack = max(1, network.bandwidth_bits // width)
-        # a packed message wider than the budget (width alone exceeds it)
-        # is split over several rounds
-        rounds_per_iter = 2 * math.ceil(instances / pack) * network.chunks(pack * width)
-        cluster_msgs = 0
-
-        winners = {}
-        for cluster, cmap, lists in plans:
-            members = sorted(cluster.nodes)
-            reduced = {v: {cmap.map_color(c): c for c in lists[v]}
-                       for v in members}
-            for v in members:
-                if len(reduced[v]) != len(lists[v]):
-                    raise SimError(f"stale colorspace map at node {v}")
-            nbrs = {v: [u for u in network.graph.neighbors(v)
-                        if u in cluster.nodes] for v in members}
-            pal = {(v, i): set(reduced[v]) for v in members
-                   for i in range(instances)}
-            got = {(v, i): None for v in members for i in range(instances)}
-            for _ in range(iters):
-                picks = {}
-                for v in members:
-                    rng = network.rng(v)
-                    for i in range(instances):
-                        if got[(v, i)] is None and pal[(v, i)]:
-                            opts = sorted(pal[(v, i)])
-                            picks[(v, i)] = opts[int(rng.integers(len(opts)))]
-                for (v, i), c in picks.items():
-                    if any(picks.get((u, i)) == c for u in nbrs[v]):
-                        continue
-                    got[(v, i)] = c
-                    for u in nbrs[v]:
-                        pal[(u, i)].discard(c)
-                cluster_msgs += sum(len(nbrs[v]) for v in members) * math.ceil(
-                    instances / pack) * 2
-            success = 0
-            for i in range(instances):
-                if all(got[(v, i)] is not None for v in members):
-                    success |= 1 << i
-            if not success:
-                raise SimError(
-                    f"no trial instance colored cluster rooted at {cluster.root}"
-                )
-            chosen = (success & -success).bit_length() - 1
-            winners[cluster] = {
-                v: reduced[v][got[(v, chosen)]] for v in members
-            }
-        # simulate the per-class schedule: packed trials, success convergecast
-        # (bitwise AND over instance masks), index broadcast, permanent colors
-        max_depth = max(max(1, c.tree_depth) for c, _, _ in plans)
-        agg_rounds = max_depth * network.chunks(instances) + max_depth + 1
-        network.charge_phase(
-            "small_color", iters * rounds_per_iter + agg_rounds,
-            cluster_msgs + sum(2 * len(c.nodes) for c, _, _ in plans),
-            min(network.bandwidth_bits, pack * width),
-        )
-        # clusters of one class are pairwise non-adjacent: one batch
-        order = [vc for a in winners.values() for vc in sorted(a.items())]
-        network.assign_colors([v for v, _ in order], [c for _, c in order])
+    _color_classes(network, [(decomposition, colormaps)],
+                   lambda _: contextlib.nullcontext())
     return {"rounds": network.stats.rounds - start}
 
 
+# jobs per lockstep pass: small passes keep their arrays small (one pass over
+# 1,377 components raised the benchmark's peak RSS by about 4%)
+_PASS_JOBS = 128
+
+
+def _color_classes(network: Network, jobs: list, branch) -> None:
+    """Color the clusters of every job, a (decomposition, colormaps) pair,
+    class by class; the jobs' nodes are pairwise non-adjacent, so class j of
+    all jobs runs in the same passes. Job k books inside `branch(k)`."""
+    instances = max(1, math.ceil(
+        network.config.instance_mult * math.log2(max(4, network.graph.n))))
+    for j in range(max((len(d.classes) for d, _ in jobs), default=0)):
+        groups = []
+        for k, (decomp, colormaps) in enumerate(jobs):
+            cls = decomp.classes[j] if j < len(decomp.classes) else []
+            live = [c for c in cls
+                    if any(network.color.item(v) < 0 for v in c.nodes)]
+            if not live:
+                continue
+            lists = [_cluster_lists(network, c) for c in live]
+            stale = [c for c, l in zip(live, lists)
+                     if tuple(sorted(l.items())) != colormaps[c].lists_snapshot]
+            if stale:
+                # palettes changed since the maps were certified: re-derive
+                with branch(k), network.parallel() as rederive:
+                    for c in stale:
+                        with rederive():
+                            colormaps[c] = reduce_colorspace(network, c)
+            groups.append((k, [(c, colormaps[c], l) for c, l in zip(live, lists)]))
+        for i in range(0, len(groups), _PASS_JOBS):
+            _packed_trials(network, groups[i:i + _PASS_JOBS], instances, branch)
+
+
+def _packed_trials(network: Network, groups: list, instances: int,
+                   branch) -> None:
+    """Run the packed trial instances of one class of several jobs, each a
+    (job, [(cluster, colormap, lists), ...]) group, in lockstep. Each job
+    keeps the iteration count, packing and charge it would have alone. Each
+    iteration, a node draws the candidates of its open instances in one
+    `integers` call, in instance order; a cluster adopts the lowest instance
+    that colored all its members."""
+    plans = [plan for _, job in groups for plan in job]
+    members = [sorted(c.nodes) for c, _, _ in plans]
+    nodes = np.array([v for m in members for v in m], dtype=np.int64)
+    owner = np.repeat(np.arange(len(plans)), [len(m) for m in members])
+    maps = []                   # per row: reduced color -> original color
+    for (_, cmap, lists), m in zip(plans, members):
+        for v in m:
+            maps.append({cmap.map_color(c): c for c in lists[v]})
+            if len(maps[-1]) != len(lists[v]):
+                raise SimError(f"stale colorspace map at node {v}")
+    slots = max(len(r) for r in maps)
+    red = np.array([sorted(r) + [-1] * (slots - len(r)) for r in maps],
+                   dtype=np.int64)
+    # edges inside one cluster, as row pairs
+    src, nbr = network.graph.rows(nodes)
+    order = np.argsort(nodes)
+    at = order[np.searchsorted(nodes, nbr, sorter=order).clip(max=len(nodes) - 1)]
+    keep = (nodes[at] == nbr) & (owner[at] == owner[src])
+    ea, eb = src[keep], at[keep]
+    sizes = [sum(len(c.nodes) for c, _, _ in job) for _, job in groups]
+    iters = [max(1, math.ceil(network.config.instance_mult * math.log2(max(
+        4, max(cmap.n_bound for _, cmap, _ in job))))) for _, job in groups]
+    row_iters = np.repeat(iters, sizes)
+
+    alive = np.repeat(red[:, None, :] >= 0, instances, axis=1)
+    got = np.full(alive.shape[:2], -1, dtype=np.int64)      # the won color
+    rngs = [network.rng(v) for v in nodes.tolist()]
+    for t in range(max(iters)):
+        highs = alive.sum(axis=2)
+        act = (got < 0) & (highs > 0) & (row_iters > t)[:, None]
+        rows = np.flatnonzero(act.any(axis=1))
+        if not rows.size:
+            break
+        draws = np.concatenate([rngs[r].integers(h) for r, h in zip(
+            rows.tolist(),
+            np.split(highs[act], np.cumsum(act[rows].sum(axis=1))[:-1]))])
+        # each open (row, instance) picks its draws-th live color
+        pick = np.full(got.shape, -1, dtype=np.int64)
+        pick[act] = red[np.nonzero(act)[0], np.argmax(
+            np.cumsum(alive[act], axis=1) > draws[:, None], axis=1)]
+        # a pick wins unless a cluster neighbor picked the same color in the
+        # same instance; a winner's color leaves the neighbors' lists there
+        e, i = np.nonzero((pick[ea] == pick[eb]) & (pick[ea] >= 0))
+        win = pick >= 0
+        win[ea[e], i] = False
+        got[win] = pick[win]
+        e, i = np.nonzero(win[ea])
+        w, s = np.nonzero(red[eb[e]] == pick[ea[e], i][:, None])
+        alive[eb[e[w]], i[w], s] = False
+
+    success = np.logical_and.reduceat(
+        got >= 0, np.cumsum([0] + [len(m) for m in members[:-1]]), axis=0)
+    if not success.any(axis=1).all():
+        root = plans[int(np.argmin(success.any(axis=1)))][0].root
+        raise SimError(f"no trial instance colored cluster rooted at {root}")
+    chosen = got[np.arange(len(nodes)), np.argmax(success, axis=1)[owner]]
+    colors = np.array([m[c] for m, c in zip(maps, chosen.tolist())])
+
+    # each job's schedule: packed trials, success convergecast (bitwise AND
+    # over instance masks), index broadcast, permanent colors; the winners
+    # are assigned in one batch per round reached, which a trace logs
+    edges = np.bincount(ea, minlength=len(nodes))
+    bounds = np.cumsum([0] + sizes).tolist()
+    batches = {}
+    for (k, job), lo, hi, n_iters in zip(groups, bounds, bounds[1:], iters):
+        width = max(1, math.ceil(math.log2(max(cm.p for _, cm, _ in job))))
+        pack = max(1, network.bandwidth_bits // width)
+        packets = math.ceil(instances / pack)
+        # a packed message wider than the budget (width alone exceeds it)
+        # is split over several rounds
+        rounds_per_iter = 2 * packets * network.chunks(pack * width)
+        max_depth = max(max(1, c.tree_depth) for c, _, _ in job)
+        agg_rounds = max_depth * network.chunks(instances) + max_depth + 1
+        with branch(k):
+            network.charge_phase(
+                "small_color", n_iters * rounds_per_iter + agg_rounds,
+                int(edges[lo:hi].sum()) * packets * 2 * n_iters
+                + sum(2 * len(c.nodes) for c, _, _ in job),
+                min(network.bandwidth_bits, pack * width))
+            at = batches.setdefault(network.round_counter, (k, []))
+            at[1].extend(range(lo, hi))
+    for k, rows in batches.values():
+        with branch(k):
+            network.assign_colors(nodes[rows], colors[rows])
+
+
 def color_small_degree(network: Network, subgraph) -> dict:
-    """Full low-degree coloring: shatter, decompose, reduce, color. Returns
-    per-stage round usage."""
+    """Full low-degree coloring: shatter, decompose, reduce, color, with each
+    component a branch of one parallel block. Returns per-stage round usage."""
     start = network.stats.rounds
     components = shatter(network, subgraph)
     with network.parallel() as component:
-        for comp in components:
-            with component():
+        jobs = []
+        for k, comp in enumerate(components):
+            with component(k):
                 decomp = decompose_clusters(network, comp)
                 colormaps = {}
                 with network.parallel() as cluster:
                     for c in decomp.all_clusters():
                         with cluster():
                             colormaps[c] = reduce_colorspace(network, c)
-                color_clusters(network, decomp, colormaps)
-    leftovers = [v for v in subgraph if network.color.item(v) < 0]
-    if leftovers:
-        raise SimError(f"low-degree coloring left {len(leftovers)} nodes uncolored")
+            jobs.append((decomp, colormaps))
+        _color_classes(network, jobs, component)
+    left = np.count_nonzero(
+        network.color[np.fromiter(subgraph, dtype=np.int64)] < 0)
+    if left:
+        raise SimError(f"low-degree coloring left {left} nodes uncolored")
     return {"rounds": network.stats.rounds - start}

@@ -185,6 +185,20 @@ def test_cli_verify_flags_bad_coloring(tmp_path):
                  "--coloring", str(cpath)]) == 1
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("0 1\n1 2 3\n2 1\n", "line 2: expected '<node> <color>', got '1 2 3'"),
+    ("0 1\n1 2\n0 2\n2 1\n", "line 3: node 0 is listed twice"),
+])
+def test_cli_verify_rejects_malformed_coloring(tmp_path, capsys, text, problem):
+    gpath = tmp_path / "g.col"
+    gpath.write_text(save_edge_list(generate("path", {"n": 3}, seed=0)))
+    cpath = tmp_path / "c.txt"
+    cpath.write_text(text)
+    assert main(["verify", "--graph", str(gpath),
+                 "--coloring", str(cpath)]) == 2
+    assert problem in capsys.readouterr().err
+
+
 def test_results_csv_header_check():
     with pytest.raises(ValueError, match="header"):
         load_results_csv("nope\n1,2\n")

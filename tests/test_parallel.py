@@ -20,15 +20,18 @@ def mk(graph=None):
 
 
 # a program is a list of steps: ("charge", phase, rounds, messages, bits) or
-# ("block", [program, ...]), a parallel block with one program per branch
+# ("block", [(key, program), ...]), a parallel block with one program per
+# branch piece; a piece with a key resumes the block's earlier piece with that
+# key, and a piece with key None is a branch of its own
 charges = st.tuples(st.just("charge"), st.sampled_from(PHASES),
                     st.integers(0, 6), st.integers(0, 50),
                     st.integers(0, BUDGET))
 programs = st.recursive(
     st.lists(charges, max_size=4),
     lambda inner: st.lists(
-        st.one_of(charges, st.tuples(st.just("block"),
-                                     st.lists(inner, max_size=3))),
+        st.one_of(charges, st.tuples(st.just("block"), st.lists(
+            st.tuples(st.sampled_from([None, "x", "y"]), inner),
+            max_size=3))),
         max_size=4),
     max_leaves=20,
 )
@@ -38,14 +41,18 @@ def expected(program):
     """(per-phase rounds, messages, widest edge) the rule bills for a program
     run from an empty ledger: charges add up; a block adds, per phase, the
     largest amount any branch spent, all branches' messages and the widest
-    edge of any branch."""
+    edge of any branch, where a branch runs its pieces one after another."""
     per_phase, messages, bits = {}, 0, 0
     for step in program:
         if step[0] == "charge":
             _, phase, r, m, b = step
             spent = {phase: r}
         else:
-            branches = [expected(p) for p in step[1]]
+            ledgers = {}
+            for key, piece in step[1]:
+                ledgers.setdefault(object() if key is None else key,
+                                   []).extend(piece)
+            branches = [expected(p) for p in ledgers.values()]
             spent = {}
             for pp, _, _ in branches:
                 for phase, r in pp.items():
@@ -67,10 +74,13 @@ def run(net, program):
             continue
         start = net.round_counter
         with net.parallel() as branch:
-            for sub in step[1]:
-                with branch():
-                    assert net.round_counter == start
+            spent = {}
+            for key, sub in step[1]:
+                with branch(key):
+                    assert net.round_counter == start + spent.get(key, 0)
                     run(net, sub)
+                    if key is not None:
+                        spent[key] = net.round_counter - start
         assert net.round_counter >= start
 
 
@@ -94,12 +104,27 @@ def test_identical_branches_cost_one_branch(program, k):
     alone = mk()
     run(alone, program)
     side_by_side = mk()
-    run(side_by_side, [("block", [program] * k)])
+    run(side_by_side, [("block", [(None, program)] * k)])
     a, b = alone.stats.snapshot(), side_by_side.stats.snapshot()
     assert b["rounds"] == a["rounds"]
     assert b["per_phase"] == a["per_phase"]
     assert b["total_messages"] == k * a["total_messages"]
     assert b["max_edge_bits_per_round"] == a["max_edge_bits_per_round"]
+
+
+def test_resumed_branch_continues_its_ledger():
+    net = mk()
+    with net.parallel() as branch:
+        with branch("a"):
+            net.charge_phase("a", 2, 1, 1)
+        with branch("b"):
+            net.charge_phase("a", 3, 1, 1)
+        with branch("a"):
+            assert net.round_counter == 2
+            net.charge_phase("a", 2, 1, 1)
+    # "a" spent 4 rounds in its two pieces, "b" 3
+    assert net.stats.per_phase == {"a": 4}
+    assert net.stats.total_messages == 3
 
 
 def test_two_disjoint_copies_cost_one_copy():

@@ -13,8 +13,10 @@ from congestcolor.graphs import (
 )
 from congestcolor.harness import run_pipeline
 from congestcolor.sim import SimError, new_network
+import small_degree_reference as reference
 from congestcolor.small_degree import (
     ClusterDecomposition,
+    _evaluation_point,
     _minimal_c0,
     _roots_mod_p,
     color_clusters,
@@ -167,6 +169,34 @@ def test_reduction_shrinks_wide_colorspace():
     for v in range(12):
         pal = net.palette(v)
         assert len({cmap.map_color(c) for c in pal}) == len(pal)
+
+
+def test_evaluation_point_shared_by_equal_lists():
+    # two edges on different node ids hold the same lists: the second
+    # reduction reuses the first one's point, yet books its own charge and
+    # certifies its own lists
+    g = Graph(4, [(0, 1), (2, 3)])
+    pal = PaletteAssignment(50, {v: frozenset({3, 7}) for v in range(4)})
+    net = new_network(g, pal, SimConfig(), 0)
+    _, a = single_cluster(net, [0, 1])
+    _, b = single_cluster(net, [2, 3])
+    _evaluation_point.cache_clear()
+    first = reduce_colorspace(net, a)
+    once = net.stats.per_phase["small_reduce"]
+    second = reduce_colorspace(net, b)
+    assert _evaluation_point.cache_info()[:2] == (1, 1)     # hits, misses
+    assert (second.g, second.p) == (first.g, first.p)
+    assert net.stats.per_phase["small_reduce"] == 2 * once
+    assert [v for v, _ in second.lists_snapshot] == [2, 3]
+
+    # one color changed: the point a fresh computation gives
+    lists = {0: {3, 7}, 1: {3, 7}, 2: {3, 7}, 3: {3, 11}}
+    cmaps = []
+    for reduce in (reduce_colorspace, reference.reduce_colorspace):
+        pal = PaletteAssignment(50, {v: frozenset(c) for v, c in lists.items()})
+        net = new_network(g, pal, SimConfig(), 0)
+        cmaps.append(reduce(net, single_cluster(net, [2, 3])[1]))
+    assert cmaps[0] == cmaps[1]
 
 
 def test_minimal_c0_is_minimal():
