@@ -108,9 +108,7 @@ def compute_acd(network: Network, delta: float | None = None) -> AlmostCliqueDec
     exp_count = reps * big_d * forward_p / exp_s_deg  # per friend edge
 
     # step 1: sample S
-    in_s = np.fromiter(
-        (network.rng(v).random() < p_s for v in range(n)), dtype=bool, count=n
-    )
+    in_s = network.streams.random(np.arange(n)) < p_s
     # everyone learns which neighbors are sampled (one bit per edge); the
     # sampled neighbors of v are s_nbrs[s_ptr[v]:s_ptr[v + 1]], ascending
     s_edge = in_s[g.indices]
@@ -122,17 +120,14 @@ def compute_acd(network: Network, delta: float | None = None) -> AlmostCliqueDec
 
     # step 2: per repetition, every node with a sampled neighbor picks one
     # and forwards its ID to all sampled neighbors with probability
-    # deg_S/(2 sqrt Delta). Draws stay scalar and per node, so each stream
-    # sees one pick and one coin per repetition.
+    # deg_S/(2 sqrt Delta). Each stream sees one pick and one coin per
+    # repetition, in that order.
     senders = np.flatnonzero(s_deg)
-    picks, coins = [], []
-    for v, k in zip(senders.tolist(), s_deg[senders].tolist()):
-        rng = network.rng(v)
-        for _ in range(reps):
-            picks.append(rng.integers(k))
-            coins.append(rng.random())
-    picks = np.array(picks, dtype=np.int64).reshape(-1, reps)
-    coins = np.array(coins, dtype=np.float64).reshape(-1, reps)
+    picks = np.empty((senders.size, reps), dtype=np.int64)
+    coins = np.empty((senders.size, reps))
+    for r in range(reps):
+        picks[:, r] = network.streams.integers(senders, s_deg[senders])
+        coins[:, r] = network.streams.random(senders)
     forwards = coins < np.minimum(1.0, s_deg[senders] / (2.0 * sqrt_d))[:, None]
     # sent[v, r]: the ID v forwarded in repetition r, -1 if it stayed silent
     sent = np.full((n, reps), -1, dtype=np.int64)

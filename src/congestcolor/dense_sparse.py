@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .overlay import RoutingRequest, route
-from .sim import Network, SimError, seed_words, stream
+from .sim import Network, SimError, Streams, seed_words
 from .small_degree import color_small_degree
 from .trials import random_color_trial, trial_loop, try_color_round
 
@@ -115,8 +115,8 @@ def partition_layers(network: Network, clique, seed: int = 0) -> LayerPartition:
     t_prime, t, probs, lambdas, fallback = layer_schedule(network)
     cumulative = np.cumsum([float(p) for p in probs])
     members = sorted(clique)
-    draws = [stream(w).random() for w in
-             seed_words([network.master_seed, _LAYER_TAG, seed], members)]
+    draws = Streams(seed_words([network.master_seed, _LAYER_TAG, seed],
+                               members)).random(np.arange(len(members)))
     layers = np.minimum(np.searchsorted(cumulative, draws, side="right"), t)
     assignment = dict(zip(members, layers.tolist()))
     ms = np.array(members, dtype=np.int64)
@@ -181,29 +181,30 @@ def synchronized_color_trial(network: Network, acd, overlays, layer: int,
                     cfg.c_p * max(1.0, len(active) / max(lam_next, 1e-9)) * logn
                 )
                 sub = {}
-                for v in active:
-                    size = min(pi_size, network.palette_size(v))
-                    if size < pi_size and network.trace is not None:
-                        network.log(v, "subpalette_clamp", f"{pi_size}->{size}")
-                    sub[v] = network.sample_colors(v, network.rng(v), size)
+                with network.streams.generators(active) as gens:
+                    for v, rng in zip(active, gens):
+                        size = min(pi_size, network.palette_size(v))
+                        if size < pi_size and network.trace is not None:
+                            network.log(v, "subpalette_clamp", f"{pi_size}->{size}")
+                        sub[v] = network.sample_colors(v, rng, size)
                 ship = [RoutingRequest(v, leader, size=len(sub[v]))
                         for v in active if v != leader]
                 if ship:
                     route(network, overlays[ac], ship)
                 taken = set()
-                leader_rng = network.rng(leader)
                 granted = []
-                for v in active:            # ascending-ID assignment order
-                    avail = [c for c in sub[v] if c not in taken]
-                    if not avail:
-                        failures += 1
-                        if network.trace is not None:
-                            network.log(v, "assignment_failure", f"layer={layer}")
-                        continue
-                    c = avail[int(leader_rng.integers(len(avail)))]
-                    taken.add(c)
-                    picks[v] = c
-                    granted.append(v)
+                with network.streams.generators([leader]) as (leader_rng,):
+                    for v in active:            # ascending-ID assignment order
+                        avail = [c for c in sub[v] if c not in taken]
+                        if not avail:
+                            failures += 1
+                            if network.trace is not None:
+                                network.log(v, "assignment_failure", f"layer={layer}")
+                            continue
+                        c = avail[int(leader_rng.integers(len(avail)))]
+                        taken.add(c)
+                        picks[v] = c
+                        granted.append(v)
                 back = [RoutingRequest(leader, v, size=1)
                         for v in granted if v != leader]
                 if back:

@@ -138,13 +138,11 @@ def compute_overlay(network: Network, clique, leader: int,
     ids = ms.tolist()
     local = {v: i for i, v in enumerate(ids)}
     shared = {}
-    rngs = {}
     pending = {}
     for i, j in zip(iu.tolist(), iv.tolist()):
         handler = ids[j]
         if handler not in shared:
             shared[handler] = ms[block[j]].tolist()
-            rngs[handler] = network.rng(handler)
         pending[(ids[i], handler)] = shared[handler]
 
     relays = {}
@@ -208,39 +206,42 @@ def compute_overlay(network: Network, clique, leader: int,
     cap = cfg.overlay_round_mult * max(
         1, math.ceil(math.log2(max(2.0, math.log2(max(4, g.n)))))
     )
-    for _ in range(cap):
-        if not pending:
-            break
-        proposals = {}
-        handler_picks = defaultdict(set)
-        for pair, apparent in pending.items():
-            handler = pair[1]
-            if not apparent:
-                raise SimError(f"overlay: pair {pair} ran out of candidate relays")
-            w = apparent[int(rngs[handler].integers(len(apparent)))]
-            if w in handler_picks[handler]:
-                continue  # same color sampled twice by one handler: skip round
-            handler_picks[handler].add(w)
-            proposals[pair] = [w]
-        relay_round(proposals)
+    with network.streams.generators(list(shared)) as gens:
+        rngs = dict(zip(shared, gens))
+        for _ in range(cap):
+            if not pending:
+                break
+            proposals = {}
+            handler_picks = defaultdict(set)
+            for pair, apparent in pending.items():
+                handler = pair[1]
+                if not apparent:
+                    raise SimError(f"overlay: pair {pair} ran out of candidate relays")
+                w = apparent[int(rngs[handler].integers(len(apparent)))]
+                if w in handler_picks[handler]:
+                    continue  # same color sampled twice by one handler: skip round
+                handler_picks[handler].add(w)
+                proposals[pair] = [w]
+            relay_round(proposals)
 
-    # finishing: parallel candidates per remaining pair
-    k = math.ceil(3 * math.log2(max(2, g.n)))
-    finish_cap = 8
-    for _ in range(finish_cap):
-        if not pending:
-            break
-        proposals = {}
-        handler_edges = defaultdict(set)
-        for pair, apparent in pending.items():
-            handler = pair[1]
-            if not apparent:
-                raise SimError(f"overlay: pair {pair} ran out of candidate relays")
-            cands = multi_trial(network, handler, k, palette=apparent)
-            kept = [w for w in cands if w not in handler_edges[handler]]
-            handler_edges[handler].update(kept)
-            proposals[pair] = kept
-        relay_round(proposals)
+        # finishing: parallel candidates per remaining pair
+        k = math.ceil(3 * math.log2(max(2, g.n)))
+        finish_cap = 8
+        for _ in range(finish_cap):
+            if not pending:
+                break
+            proposals = {}
+            handler_edges = defaultdict(set)
+            for pair, apparent in pending.items():
+                handler = pair[1]
+                if not apparent:
+                    raise SimError(f"overlay: pair {pair} ran out of candidate relays")
+                cands = multi_trial(network, handler, k, apparent,
+                                    rngs[handler])
+                kept = [w for w in cands if w not in handler_edges[handler]]
+                handler_edges[handler].update(kept)
+                proposals[pair] = kept
+            relay_round(proposals)
     if pending:
         raise SimError(
             f"overlay construction failed for {len(pending)} non-edges "

@@ -19,8 +19,12 @@ v's stream is exactly `np.random.default_rng([master_seed, v])`, and the
 layer draws of `dense_sparse.partition_layers` are exactly
 `default_rng([master_seed, 0xD15E, seed, v])`. Neither is built through
 `default_rng`: `seed_words` runs numpy's `SeedSequence` hash for a whole array
-of node ids in one pass, and `stream` starts numpy's PCG64 from one node's
-words. That hash is fixed and has not changed since numpy 1.17;
+of node ids in one pass, and `Streams` holds numpy's PCG64 state of every row
+in arrays. Its `integers` and `random` replay `Generator.integers(high)` and
+`Generator.random()` for many rows in one pass; any other `Generator` method
+runs on a checkout, `with streams.generators(rows) as gens:`, which hands out
+real generators in the rows' states and writes the states back on exit. That
+hash and that generator are fixed and have not changed since numpy 1.17;
 `tests/test_rng_streams.py` checks the streams against `default_rng`.
 """
 
@@ -178,6 +182,115 @@ def stream(words) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_PresetSeed(words)))
 
 
+# numpy's PCG64 (O'Neill 2014): a 128-bit LCG with this multiplier, stepped
+# before each 64-bit output, which is the XSL-RR of the new state
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _lcg(hi, lo, inc_hi, inc_lo):
+    """state * multiplier + inc mod 2**128 on (hi, lo) uint64 arrays; the
+    high half of lo * multiplier is summed from 32-bit limbs."""
+    a0, a1 = lo & _MASK32, lo >> 32
+    b0, b1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    new_lo = lo * _PCG_MULT_LO + inc_lo
+    return (a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + lo * _PCG_MULT_HI
+            + hi * _PCG_MULT_LO + inc_hi + (new_lo < inc_lo)), new_lo
+
+
+class Streams:
+    """The streams `stream(words[i])` of the rows of `seed_words`, held in
+    arrays: per row the 128-bit PCG64 state and increment as uint64 halves,
+    and numpy's flag and buffer for the unused high half of a 32-bit draw.
+    `integers` and `random` draw what `Generator.integers(high)` and
+    `Generator.random()` draw, for many rows in one pass; a row appears at
+    most once per call."""
+
+    def __init__(self, words):
+        self._words = np.asarray(words, dtype=np.uint64)
+        s_hi, s_lo, i_hi, i_lo = self._words.T
+        # numpy's seeding: inc = 2 i + 1, state = (inc + s) * multiplier + inc
+        self.inc_hi, self.inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+        lo = self.inc_lo + s_lo
+        self.hi, self.lo = _lcg(self.inc_hi + s_hi + (lo < s_lo), lo,
+                                self.inc_hi, self.inc_lo)
+        self.has32 = np.zeros(len(self.hi), dtype=bool)
+        self.buf32 = np.zeros(len(self.hi), dtype=np.uint64)
+        self._out = np.zeros(len(self.hi), dtype=bool)     # checked out
+
+    def _rows(self, rows):
+        rows = np.asarray(rows, dtype=np.int64)
+        bad = (rows < 0) | (rows >= self._out.size)
+        if bad.any():
+            raise ValueError(f"no row {rows[bad][0]} in {self._out.size} streams")
+        if rows.size > 1 and (rows[1:] <= rows[:-1]).any() \
+                and (np.diff(np.sort(rows)) == 0).any():
+            raise ValueError("a row appears twice in one call")
+        if self._out[rows].any():
+            raise SimError(f"row {rows[self._out[rows]][0]} is checked out")
+        return rows
+
+    def _next64(self, rows):
+        hi, lo = _lcg(self.hi[rows], self.lo[rows],
+                      self.inc_hi[rows], self.inc_lo[rows])
+        self.hi[rows], self.lo[rows] = hi, lo
+        x, rot = hi ^ lo, hi >> 58
+        return x >> rot | x << ((64 - rot) & 63)
+
+    def _next32(self, rows):
+        fresh = ~self.has32[rows]
+        out = self.buf32[rows]
+        x = self._next64(rows[fresh])
+        out[fresh] = x & _MASK32
+        self.buf32[rows[fresh]] = x >> 32
+        self.has32[rows] = fresh
+        return out
+
+    def integers(self, rows, highs) -> np.ndarray:
+        """Row rows[i] draws `integers(highs[i])`, 1 <= highs[i] <= 2**32:
+        Lemire's multiply-and-reject on 32-bit draws (Lemire 2019), redrawn
+        only by the rows that reject. A high of 1 draws nothing."""
+        rows, highs = self._rows(rows), np.asarray(highs, dtype=np.int64)
+        if highs.size and not 1 <= highs.min() <= highs.max() <= 1 << 32:
+            raise ValueError("integers needs 1 <= high <= 2**32")
+        highs = highs.astype(np.uint64)
+        out = np.zeros(rows.size, dtype=np.int64)
+        todo = np.flatnonzero(highs > 1)
+        while todo.size:
+            m = self._next32(rows[todo]) * highs[todo]
+            ok = (m & _MASK32) >= (1 << 32) % highs[todo]
+            out[todo[ok]] = m[ok] >> 32
+            todo = todo[~ok]
+        return out
+
+    def random(self, rows) -> np.ndarray:
+        """Row rows[i] draws `random()`: 53 bits of a 64-bit draw."""
+        return (self._next64(self._rows(rows)) >> 11) * (1.0 / (1 << 53))
+
+    @contextmanager
+    def generators(self, rows):
+        """Yield a generator per row in the row's state, for any other
+        `Generator` method, and write the states back on exit; meanwhile the
+        rows take no array draw, so no stream forks."""
+        rows = self._rows(rows)
+        gens = [stream(w) for w in self._words[rows]]
+        cols = (self.hi, self.lo, self.inc_hi, self.inc_lo, self.has32, self.buf32)
+        for g, hi, lo, ih, il, has, buf in zip(gens, *(c[rows].tolist() for c in cols)):
+            g.bit_generator.state = {
+                "bit_generator": "PCG64", "has_uint32": has, "uinteger": buf,
+                "state": {"state": hi << 64 | lo, "inc": ih << 64 | il}}
+        self._out[rows] = True
+        try:
+            yield gens
+        finally:
+            self._out[rows] = False
+            for i, g in zip(rows.tolist(), gens):
+                st = g.bit_generator.state
+                self.hi[i], self.lo[i] = divmod(st["state"]["state"], 1 << 64)
+                self.has32[i], self.buf32[i] = st["has_uint32"], st["uinteger"]
+
+
 def _bit_width(x: int) -> int:
     return max(1, int(x).bit_length())
 
@@ -231,24 +344,10 @@ class Network:
         self.pal_colors = self._keys - owner * self._stride
         self.removed = np.zeros(colors.size, dtype=bool)
         self.live = sizes
-        self._rngs: dict = {}
-        self._seed_words = None       # (n, 4) PCG64 seeds, on the first draw
+        # node v's stream is row v, `np.random.default_rng([master_seed, v])`
+        self.streams = Streams(seed_words([self.master_seed], np.arange(n)))
         self._tree_cache: dict = {}
         self.trace: list = [] if config.trace else None
-
-    # -- randomness ---------------------------------------------------------
-
-    def rng(self, v: int):
-        """Node v's stream, `np.random.default_rng([master_seed, v])`."""
-        g = self._rngs.get(v)
-        if g is None:
-            if not 0 <= v < self.graph.n:
-                raise ValueError(f"no node {v} in a {self.graph.n}-node network")
-            if self._seed_words is None:
-                self._seed_words = seed_words([self.master_seed],
-                                              np.arange(self.graph.n))
-            g = self._rngs[v] = stream(self._seed_words[v])
-        return g
 
     # -- accounting ---------------------------------------------------------
 

@@ -348,10 +348,12 @@ def color_clusters(network: Network, decomposition: ClusterDecomposition,
 _PASS_JOBS = 128
 
 
-def _color_classes(network: Network, jobs: list, branch) -> None:
+def _color_classes(network: Network, jobs: list, branch, fresh=False) -> None:
     """Color the clusters of every job, a (decomposition, colormaps) pair,
     class by class; the jobs' nodes are pairwise non-adjacent, so class j of
-    all jobs runs in the same passes. Job k books inside `branch(k)`."""
+    all jobs runs in the same passes. Job k books inside `branch(k)`. With
+    `fresh`, nothing was colored since the maps were certified, so class 0
+    takes its lists from their snapshots; later classes re-derive stale maps."""
     instances = max(1, math.ceil(
         network.config.instance_mult * math.log2(max(4, network.graph.n))))
     for j in range(max((len(d.classes) for d, _ in jobs), default=0)):
@@ -361,6 +363,10 @@ def _color_classes(network: Network, jobs: list, branch) -> None:
             live = [c for c in cls
                     if any(network.color.item(v) < 0 for v in c.nodes)]
             if not live:
+                continue
+            if fresh and j == 0:
+                groups.append((k, [(c, colormaps[c], dict(
+                    colormaps[c].lists_snapshot)) for c in live]))
                 continue
             lists = [_cluster_lists(network, c) for c in live]
             stale = [c for c, l in zip(live, lists)
@@ -381,9 +387,9 @@ def _packed_trials(network: Network, groups: list, instances: int,
     """Run the packed trial instances of one class of several jobs, each a
     (job, [(cluster, colormap, lists), ...]) group, in lockstep. Each job
     keeps the iteration count, packing and charge it would have alone. Each
-    iteration, a node draws the candidates of its open instances in one
-    `integers` call, in instance order; a cluster adopts the lowest instance
-    that colored all its members."""
+    iteration, a node draws the candidates of its open instances in
+    instance order; a cluster adopts the lowest instance that colored all its
+    members."""
     plans = [plan for _, job in groups for plan in job]
     members = [sorted(c.nodes) for c, _, _ in plans]
     nodes = np.array([v for m in members for v in m], dtype=np.int64)
@@ -410,19 +416,22 @@ def _packed_trials(network: Network, groups: list, instances: int,
 
     alive = np.repeat(red[:, None, :] >= 0, instances, axis=1)
     got = np.full(alive.shape[:2], -1, dtype=np.int64)      # the won color
-    rngs = [network.rng(v) for v in nodes.tolist()]
     for t in range(max(iters)):
         highs = alive.sum(axis=2)
         act = (got < 0) & (highs > 0) & (row_iters > t)[:, None]
-        rows = np.flatnonzero(act.any(axis=1))
-        if not rows.size:
+        r, i = np.nonzero(act)
+        if not r.size:
             break
-        draws = np.concatenate([rngs[r].integers(h) for r, h in zip(
-            rows.tolist(),
-            np.split(highs[act], np.cumsum(act[rows].sum(axis=1))[:-1]))])
+        # pass j draws every row's j-th open instance: rows draw in order
+        rank = np.arange(r.size) - np.searchsorted(r, r)
+        draws = np.empty(r.size, dtype=np.int64)
+        for j in range(rank.max() + 1):
+            sel = np.flatnonzero(rank == j)
+            draws[sel] = network.streams.integers(nodes[r[sel]],
+                                                  highs[r[sel], i[sel]])
         # each open (row, instance) picks its draws-th live color
         pick = np.full(got.shape, -1, dtype=np.int64)
-        pick[act] = red[np.nonzero(act)[0], np.argmax(
+        pick[act] = red[r, np.argmax(
             np.cumsum(alive[act], axis=1) > draws[:, None], axis=1)]
         # a pick wins unless a cluster neighbor picked the same color in the
         # same instance; a winner's color leaves the neighbors' lists there
@@ -486,7 +495,7 @@ def color_small_degree(network: Network, subgraph) -> dict:
                         with cluster():
                             colormaps[c] = reduce_colorspace(network, c)
             jobs.append((decomp, colormaps))
-        _color_classes(network, jobs, component)
+        _color_classes(network, jobs, component, fresh=True)
     left = np.count_nonzero(
         network.color[np.fromiter(subgraph, dtype=np.int64)] < 0)
     if left:

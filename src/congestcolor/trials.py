@@ -8,8 +8,9 @@ import numpy as np
 from .sim import Network, SimError
 
 
-def try_color_round(network: Network, picks: dict, phase: str = "rct") -> list:
-    """One simultaneous color-trial exchange for all nodes in `picks`.
+def try_color_round(network: Network, picks, phase: str = "rct") -> list:
+    """One simultaneous color-trial exchange for all nodes in `picks`, a
+    {node: color} dict or a (k, 2) array of (node, color) rows.
 
     Each node announces its candidate to its uncolored neighbors and keeps it
     iff no neighbor announced the same color; permanent colors are then
@@ -18,11 +19,12 @@ def try_color_round(network: Network, picks: dict, phase: str = "rct") -> list:
 
     Returns the list of nodes that got colored.
     """
-    if not picks:
+    if not len(picks):
         return []
     g = network.graph
-    nodes = np.fromiter(picks.keys(), dtype=np.int64, count=len(picks))
-    cols = np.fromiter(picks.values(), dtype=np.int64, count=len(picks))
+    if isinstance(picks, dict):
+        picks = np.array(list(picks.items()), dtype=np.int64)
+    nodes, cols = picks[:, 0], picks[:, 1]
     taken = network.color[nodes] >= 0
     bad = taken | ~network.in_palettes(nodes, cols)
     if bad.any():
@@ -57,7 +59,16 @@ def random_color_trial(network: Network, active, phase: str = "rct") -> list:
     if empty.any():
         raise SimError(f"node {active[np.argmax(empty)]} has an empty palette "
                        f"in {phase}")
-    picks = {v: network.sample_color(v, network.rng(v)) for v in active.tolist()}
+    # uniform entries of the full sorted lists, redrawn while removed: one
+    # `integers` call per node and draw, as `Network.sample_color` makes them
+    lo = network.pal_ptr[active]
+    entry = lo.copy()
+    todo = np.arange(active.size)
+    while todo.size:
+        entry[todo] = lo[todo] + network.streams.integers(
+            active[todo], network.pal_ptr[active[todo] + 1] - lo[todo])
+        todo = todo[network.removed[entry[todo]]]
+    picks = np.column_stack([active, network.pal_colors[entry]])
     return try_color_round(network, picks, phase=phase)
 
 
@@ -80,31 +91,20 @@ def slack_generation(network: Network) -> list:
     if (network.color >= 0).any():
         raise SimError("slack_generation must run on a fully uncolored network")
     p = network.config.p_sample
-    sampled = [
-        v for v in range(network.graph.n)
-        if network.rng(v).random() < p
-    ]
+    sampled = np.flatnonzero(
+        network.streams.random(np.arange(network.graph.n)) < p)
     if network.trace is not None:
         network.log(-1, "slack_sample", str(len(sampled)))
     return random_color_trial(network, sampled, phase="slack_generation")
 
 
-def multi_trial(network: Network, v: int, k: int, palette=None) -> list:
-    """Sample k distinct colors in draw order, from node v's palette by
-    default or from an explicit color set; the caller adjudicates conflicts
-    and colors with the first non-conflicting one."""
-    rng = network.rng(v)
-    if palette is not None:
-        pal = sorted(palette)
-        if k > len(pal):
-            if network.trace is not None:
-                network.log(v, "multi_trial_clamp", f"{k}->{len(pal)}")
-            k = len(pal)
-        order = rng.permutation(len(pal))
-        return [pal[int(i)] for i in order[:k]]
-    live = network.palette_size(v)
-    if k > live:
+def multi_trial(network: Network, v: int, k: int, palette, rng) -> list:
+    """Sample k distinct colors of `palette` in draw order with v's
+    checked-out generator; the caller adjudicates conflicts and colors with
+    the first non-conflicting one."""
+    pal = sorted(palette)
+    if k > len(pal):
         if network.trace is not None:
-            network.log(v, "multi_trial_clamp", f"{k}->{live}")
-        k = live
-    return network.sample_colors(v, rng, k)
+            network.log(v, "multi_trial_clamp", f"{k}->{len(pal)}")
+        k = len(pal)
+    return [pal[int(i)] for i in rng.permutation(len(pal))[:k]]

@@ -67,26 +67,27 @@ def compute_acd_reference(network: Network, delta: float | None = None) -> Almos
     forward_p = min(1.0, exp_s_deg / (2.0 * sqrt_d))
     exp_count = reps * big_d * forward_p / exp_s_deg  # per friend edge
 
-    # step 1: sample S
-    in_s = [network.rng(v).random() < p_s for v in range(n)]
-    # everyone learns which neighbors are sampled (one bit per edge)
-    s_nbrs = [[u for u in g.neighbors(v) if in_s[u]] for v in range(n)]
-    network.charge_phase("acd_sample", 1, 2 * g.m, 1)
+    with network.streams.generators(range(n)) as rngs:
+        # step 1: sample S
+        in_s = [rngs[v].random() < p_s for v in range(n)]
+        # everyone learns which neighbors are sampled (one bit per edge)
+        s_nbrs = [[u for u in g.neighbors(v) if in_s[u]] for v in range(n)]
+        network.charge_phase("acd_sample", 1, 2 * g.m, 1)
 
-    # step 2: gossip one sampled-neighbor ID to sampled neighbors
-    counts: list = [Counter() for _ in range(n)]
-    gossip_msgs = 0
-    for _ in range(reps):
-        for v in range(n):
-            sn = s_nbrs[v]
-            if not sn:
-                continue
-            rng = network.rng(v)
-            pick = sn[int(rng.integers(len(sn)))]
-            if rng.random() < min(1.0, len(sn) / (2.0 * sqrt_d)):
-                for u in sn:
-                    counts[u][pick] += 1
-                    gossip_msgs += 1
+        # step 2: gossip one sampled-neighbor ID to sampled neighbors
+        counts: list = [Counter() for _ in range(n)]
+        gossip_msgs = 0
+        for _ in range(reps):
+            for v in range(n):
+                sn = s_nbrs[v]
+                if not sn:
+                    continue
+                rng = rngs[v]
+                pick = sn[int(rng.integers(len(sn)))]
+                if rng.random() < min(1.0, len(sn) / (2.0 * sqrt_d)):
+                    for u in sn:
+                        counts[u][pick] += 1
+                        gossip_msgs += 1
     network.charge_phase(
         "acd_gossip", reps, gossip_msgs,
         min(network.id_bits, network.bandwidth_bits),

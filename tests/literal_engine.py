@@ -41,8 +41,10 @@ class LiteralEngine:
         edge_bits = defaultdict(int)
         messages = 0
         rnd = net.round_counter
-        for v in range(net.graph.n):
-            out = handler(v, net, self.inboxes.get(v, []), net.rng(v))
+        with net.streams.generators(range(net.graph.n)) as rngs:
+            outs = [handler(v, net, self.inboxes.get(v, []), rngs[v])
+                    for v in range(net.graph.n)]
+        for v, out in enumerate(outs):
             for msg in out or ():
                 if msg.src != v:
                     raise SimError(f"node {v} forged src {msg.src} in round {rnd}")

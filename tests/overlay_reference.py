@@ -134,7 +134,8 @@ def compute_overlay_reference(network: Network, clique, leader: int,
         for pair, (handler, apparent, _) in pending.items():
             if not apparent:
                 raise SimError(f"overlay: pair {pair} ran out of candidate relays")
-            w = sorted(apparent)[int(network.rng(handler).integers(len(apparent)))]
+            with network.streams.generators([handler]) as (rng,):
+                w = sorted(apparent)[int(rng.integers(len(apparent)))]
             if w in handler_picks[handler]:
                 continue  # same color sampled twice by one handler: skip round
             handler_picks[handler].add(w)
@@ -152,7 +153,8 @@ def compute_overlay_reference(network: Network, clique, leader: int,
         for pair, (handler, apparent, _) in pending.items():
             if not apparent:
                 raise SimError(f"overlay: pair {pair} ran out of candidate relays")
-            cands = multi_trial(network, handler, k, palette=apparent)
+            with network.streams.generators([handler]) as (rng,):
+                cands = multi_trial(network, handler, k, apparent, rng)
             kept = [w for w in cands if w not in handler_edges[handler]]
             handler_edges[handler].update(kept)
             proposals[pair] = kept

@@ -137,12 +137,12 @@ def color_clusters(network: Network, decomposition: ClusterDecomposition,
             got = {(v, i): None for v in members for i in range(instances)}
             for _ in range(iters):
                 picks = {}
-                for v in members:
-                    rng = network.rng(v)
-                    for i in range(instances):
-                        if got[(v, i)] is None and pal[(v, i)]:
-                            opts = sorted(pal[(v, i)])
-                            picks[(v, i)] = opts[int(rng.integers(len(opts)))]
+                with network.streams.generators(members) as rngs:
+                    for v, rng in zip(members, rngs):
+                        for i in range(instances):
+                            if got[(v, i)] is None and pal[(v, i)]:
+                                opts = sorted(pal[(v, i)])
+                                picks[(v, i)] = opts[int(rng.integers(len(opts)))]
                 for (v, i), c in picks.items():
                     if any(picks.get((u, i)) == c for u in nbrs[v]):
                         continue

@@ -36,7 +36,7 @@ def outcome(compute, g, config, seed):
             acd.epsilon,
             acd.eta,
         )
-    next_draws = [net.rng(v).random() for v in range(g.n)]
+    next_draws = net.streams.random(np.arange(g.n)).tolist()
     return result, net.stats.snapshot(), next_draws
 
 

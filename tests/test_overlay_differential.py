@@ -8,6 +8,7 @@ position, so that the rest of a pipeline run sees the same bill.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,7 +43,7 @@ def outcome(compute, g, cliques, seed, epsilon=0.05, through_acd=False, **cfg):
             ))
     except SimError as exc:
         result.append(("error", str(exc)))
-    next_draws = [net.rng(v).random() for v in range(g.n)]
+    next_draws = net.streams.random(np.arange(g.n)).tolist()
     return result, net.stats.snapshot(), net.trace, next_draws
 
 

@@ -12,6 +12,7 @@ from collections import Counter
 from contextlib import ExitStack
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,7 +65,7 @@ def outcome(color, g, pal, seed, unshattered):
             result = net.coloring()
         except SimError as exc:
             result = ("error", str(exc))
-    next_draws = [net.rng(v).random() for v in range(g.n)]
+    next_draws = net.streams.random(np.arange(g.n)).tolist()
     return result, net.stats.snapshot(), next_draws, Counter(net.trace)
 
 
@@ -123,7 +124,7 @@ def test_stale_colormap_rederived_like_the_reference():
         impl.color_clusters(net, decomp, {cluster: cmap})
         assert net.stats.per_phase["small_reduce"] > before
         runs.append((net.coloring(), net.stats.snapshot(),
-                     [net.rng(v).random() for v in range(13)]))
+                     net.streams.random(np.arange(13)).tolist()))
     assert runs[0] == runs[1]
 
 

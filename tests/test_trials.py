@@ -20,7 +20,8 @@ def mk(model, params, seed=0, pal_mode="shared", pal_kind="delta_plus_one", **cf
 
 def test_try_color_isolated_winner():
     net = mk("path", {"n": 3})
-    c = net.sample_color(0, net.rng(0))
+    with net.streams.generators([0]) as (rng,):
+        c = net.sample_color(0, rng)
     winners = try_color_round(net, {0: c})
     assert winners == [0]
     assert net.color[0] == c
@@ -112,7 +113,7 @@ def test_rct_skips_colored_nodes_without_drawing():
     random_color_trial(net, [1, 3])
     random_color_trial(ref, [3])
     assert net.coloring() == ref.coloring()
-    assert net.rng(1).random() == ref.rng(1).random()
+    assert net.streams.random([1]).tolist() == ref.streams.random([1]).tolist()
 
 
 def test_rct_progress_on_cycle():
@@ -151,14 +152,16 @@ def test_slack_generation_samples_small_fraction():
 
 def test_multi_trial_distinct_in_palette():
     net = mk("complete", {"n": 10})
-    out = multi_trial(net, 0, 5)
+    with net.streams.generators([0]) as (rng,):
+        out = multi_trial(net, 0, 5, net.palette(0), rng)
     assert len(out) == 5 and len(set(out)) == 5
     assert all(net.palette_contains(0, c) for c in out)
 
 
 def test_multi_trial_clamps_to_palette_size():
     net = mk("path", {"n": 2}, pal_kind="deg_plus_one")
-    out = multi_trial(net, 0, 10)
+    with net.streams.generators([0]) as (rng,):
+        out = multi_trial(net, 0, 10, net.palette(0), rng)
     assert sorted(out) == net.palette(0)
 
 
