@@ -44,7 +44,7 @@ def main():
     print(f"\nslack generation: {colored} sampled nodes colored one-shot")
 
     color_sparse_nodes(net, acd)
-    print(f"sparse stage done, {len(net.uncolored())} nodes left")
+    print(f"sparse stage done, {int((net.color < 0).sum())} nodes left")
 
     res = color_dense_nodes(net, acd, overlays)
     print(f"dense stage done in {res['rounds']} rounds, "

@@ -33,7 +33,6 @@ class SimConfig:
     acd_margin: float = 0.5          # detection thresholds = margin * expectation
     overlay_round_mult: int = 2      # paired-round cap multiplier
     instance_mult: float = 2.0       # parallel coloring instances: a*log2 n
-    max_agg_bits: int = 4096         # widest value tree_aggregate accepts
     n_max_component: int = 20000     # shattered-component size ceiling
     trace: bool = False
 

@@ -7,19 +7,22 @@ the low-degree machinery finishes.
 
 Dense nodes are colored clique by clique through a layer schedule: each member
 independently joins a layer, layer probabilities shrink so that later layers
-are small enough for a leader to coordinate. The workhorse is the synchronized
-trial: members of the active layer ship random sub-palettes to the clique
-leader over the relay overlay, the leader hands out pairwise-distinct
-candidates, and one simultaneous trial runs on the layer's induced graph.
-Distinct candidates mean members of the same clique never collide with each
-other, only with the few external neighbors in the same layer.
+are small enough for a leader to coordinate. The schedule is computed once per
+dense stage. A node's layer lives only in `network.layer`, which the stage
+reads with the color array through one node -> clique-index array
+(`clique_index`). The workhorse is the synchronized trial: members of the
+active layer ship random sub-palettes to the clique leader over the relay
+overlay, the leader hands out pairwise-distinct candidates, and one
+simultaneous trial runs on the layer's induced graph. Distinct candidates mean
+members of the same clique never collide with each other, only with the few
+external neighbors in the same layer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,25 +34,20 @@ from .trials import random_color_trial, trial_loop, try_color_round
 _LAYER_TAG = 0xD15E
 
 
-@dataclass
-class LayerPartition:
+class LayerSchedule(NamedTuple):
     t_prime: int
     t: int
     probabilities: tuple     # exact rationals p_0..p_t, summing to 1
     lambdas: tuple           # expected layer sizes Delta * p_i
-    assignment: dict         # member -> layer index
     fallback: bool = False   # single-layer fallback used (small Delta)
-
-    def layer(self, v: int) -> int:
-        return self.assignment[v]
 
 
 def _log2n(n: int) -> float:
     return max(2.0, math.log2(max(4, n)))
 
 
-def layer_schedule(network: Network, delta: int | None = None):
-    """The (t_prime, t, probabilities) triple shared by every clique.
+def layer_schedule(network: Network, delta: int | None = None) -> LayerSchedule:
+    """The layer schedule shared by every clique.
 
     p_1 = 1/log^{3/2} n, then p_i = p_{i-1}^{3/2} up to t_prime and
     p_i = sqrt(p_{i-1}/Delta) after; t is maximal with p_t >= c*log n/Delta.
@@ -106,26 +104,34 @@ def layer_schedule(network: Network, delta: int | None = None):
                 f"last layer size {lambdas[t]:.1f} outside "
                 f"[{c * logn:.1f}, {(c * logn) ** 2:.1f}]"
             )
-    return t_prime, t, tuple(probs), lambdas, fallback
+    return LayerSchedule(t_prime, t, tuple(probs), lambdas, fallback)
 
 
-def partition_layers(network: Network, clique, seed: int = 0) -> LayerPartition:
-    """Independent per-node layer draws for one clique; one announcement
-    round so neighbors know each member's layer."""
-    t_prime, t, probs, lambdas, fallback = layer_schedule(network)
-    cumulative = np.cumsum([float(p) for p in probs])
-    members = sorted(clique)
+def partition_layers(network: Network, clique, schedule: LayerSchedule,
+                     seed: int = 0):
+    """Independent per-node layer draws for one clique, written to
+    `network.layer`; one announcement round so neighbors know each member's
+    layer."""
+    cumulative = np.cumsum([float(p) for p in schedule.probabilities])
+    members = np.array(sorted(clique), dtype=np.int64)
     draws = Streams(seed_words([network.master_seed, _LAYER_TAG, seed],
-                               members)).random(np.arange(len(members)))
-    layers = np.minimum(np.searchsorted(cumulative, draws, side="right"), t)
-    assignment = dict(zip(members, layers.tolist()))
-    ms = np.array(members, dtype=np.int64)
-    network.layer[ms] = layers
+                               members)).random(np.arange(members.size))
+    network.layer[members] = np.minimum(
+        np.searchsorted(cumulative, draws, side="right"), schedule.t)
     inside = np.zeros(network.graph.n, dtype=bool)
-    inside[ms] = True
-    internal = int(inside[network.graph.rows(ms)[1]].sum())
-    network.charge_phase("dense_partition", 1, internal, (t + 1).bit_length())
-    return LayerPartition(t_prime, t, probs, lambdas, assignment, fallback)
+    inside[members] = True
+    internal = int(inside[network.graph.rows(members)[1]].sum())
+    network.charge_phase("dense_partition", 1, internal,
+                         (schedule.t + 1).bit_length())
+
+
+def clique_index(network: Network, acd) -> np.ndarray:
+    """Each node's almost-clique as its position in ascending AC-ID order,
+    -1 for nodes in no clique."""
+    clique_of = np.full(network.graph.n, -1, dtype=np.int64)
+    for i, ac in enumerate(sorted(acd.cliques)):
+        clique_of[list(acd.cliques[ac])] = i
+    return clique_of
 
 
 def color_sparse_nodes(network: Network, acd) -> dict:
@@ -144,39 +150,35 @@ def color_sparse_nodes(network: Network, acd) -> dict:
 
 
 def synchronized_color_trial(network: Network, acd, overlays, layer: int,
-                             partitions: dict) -> dict:
+                             schedule: LayerSchedule, clique_of) -> dict:
     """One leader-coordinated trial iteration on the given layer, run on all
-    cliques in parallel. Returns tried/colored/assignment-failure counts."""
+    cliques in parallel; `clique_of` is `clique_index(network, acd)`. Returns
+    tried/colored/assignment-failure counts."""
     cfg = network.config
     logn = _log2n(network.graph.n)
+    if not 1 <= layer <= schedule.t - 1:
+        raise SimError(
+            f"synchronized trial needs a layer in [1, t-1], got {layer} "
+            f"(t={schedule.t})"
+        )
+    cliques = sorted(acd.cliques)
+    # the layer's uncolored members, grouped by clique, ascending within each
+    live = np.flatnonzero((network.layer == layer) & (network.color < 0)
+                          & (clique_of >= 0))
+    live = live[np.argsort(clique_of[live], kind="stable")]
+    bounds = np.searchsorted(clique_of[live], np.arange(len(cliques) + 1))
     picks = {}
     failures = 0
     with network.parallel() as clique:
-        for ac in sorted(acd.cliques):
-            part = partitions[ac]
-            if not 1 <= layer <= part.t - 1:
-                raise SimError(
-                    f"synchronized trial needs a layer in [1, t-1], got {layer} "
-                    f"(t={part.t})"
-                )
-            members = frozenset(acd.cliques[ac])
+        for i, ac in enumerate(cliques):
             leader = acd.leaders[ac]
-            active = sorted(
-                v for v in members
-                if part.layer(v) == layer and network.color.item(v) < 0
-            )
+            active = live[bounds[i]:bounds[i + 1]].tolist()
             with clique():
                 # leader learns |R_i^C| and tells everyone
-                active_set = set(active)
-                network.tree_aggregate(
-                    members, leader, "sum",
-                    {v: 1 if v in active_set else 0 for v in members},
-                    phase="sync_agg")
-                network.tree_aggregate(members, leader, "broadcast",
-                                       {leader: len(active)}, phase="sync_agg")
+                network.tree_aggregate(acd.cliques[ac], leader, phase="sync_agg")
                 if not active:
                     continue
-                lam_next = part.lambdas[layer + 1]
+                lam_next = schedule.lambdas[layer + 1]
                 pi_size = math.ceil(
                     cfg.c_p * max(1.0, len(active) / max(lam_next, 1e-9)) * logn
                 )
@@ -213,20 +215,20 @@ def synchronized_color_trial(network: Network, acd, overlays, layer: int,
     return {"tried": len(picks), "colored": len(colored), "failures": failures}
 
 
-def _layer_metrics(network: Network, acd, partitions, layer: int):
-    """(max external uncolored same-layer degree, max same-layer degree,
-    uncolored count) over the layer's members."""
+def _layer_metrics(network: Network, clique_of, layer: int):
+    """Over the layer's uncolored clique members (its live set): the most
+    live neighbors in other cliques that one live node has, the most live
+    neighbors that any node has, and the live count. `clique_of` holds each
+    node's clique index, -1 outside every clique."""
     g = network.graph
-    # index of each layer member's clique among the partitions, else -1
-    clique_of = np.full(g.n, -1, dtype=np.int64)
-    for i, (ac, part) in enumerate(partitions.items()):
-        clique_of[[v for v in acd.cliques[ac] if part.layer(v) == layer]] = i
-    live = np.flatnonzero((clique_of >= 0) & (network.color < 0))
+    # clique index of each uncolored layer member, else -1
+    live_of = np.where((network.layer == layer) & (network.color < 0),
+                       clique_of, -1)
+    live = np.flatnonzero(live_of >= 0)
     src, nbrs = g.rows(live)
     # r_i(u) = |N(u) cap live|: count incidences from the live side
     max_r = int(np.bincount(nbrs, minlength=g.n).max())
-    ext = (clique_of[nbrs] >= 0) & (network.color[nbrs] < 0) \
-        & (clique_of[nbrs] != clique_of[live][src])
+    ext = (live_of[nbrs] >= 0) & (live_of[nbrs] != live_of[live][src])
     max_e = int(np.bincount(src[ext], minlength=live.size).max(initial=0))
     return max_e, max_r, live.size
 
@@ -236,27 +238,26 @@ def color_dense_nodes(network: Network, acd, overlays, seed: int = 0) -> dict:
     layer and finish it with the low-degree machinery, run the synchronized
     trial schedule on the middle layers, and sweep up everything left.
 
-    Returns round usage, the per-clique layer partitions, the post-trial bulk
-    layer sizes, and a `layer,iter,max_e,max_r,uncolored` trajectory table.
+    Returns round usage, the post-trial bulk layer size of each clique, and a
+    `layer,iter,max_e,max_r,uncolored` trajectory table.
     """
     cfg = network.config
     g = network.graph
     start = network.stats.rounds
     trajectory = []
-    dense = sorted(v for ac in acd.cliques for v in acd.cliques[ac])
-    if not dense:
-        return {"rounds": 0, "partitions": {}, "r0_sizes": {},
-                "trajectory": trajectory, "failures": 0}
+    if not any(acd.cliques.values()):
+        return {"rounds": 0, "r0_sizes": {}, "trajectory": trajectory,
+                "failures": 0}
 
-    partitions = {}
+    schedule = layer_schedule(network)
     with network.parallel() as clique:
         for ac in sorted(acd.cliques):
             with clique():
-                partitions[ac] = partition_layers(network, acd.cliques[ac], seed)
-    t = next(iter(partitions.values())).t
+                partition_layers(network, acd.cliques[ac], schedule, seed)
+    clique_of = clique_index(network, acd)
+    dense = np.flatnonzero(clique_of >= 0)
 
     # bulk layer: log-log many plain trials, then the low-degree finisher
-    dense = np.array(dense, dtype=np.int64)
     r0 = dense[network.layer[dense] == 0]
     loops = cfg.k3 * math.ceil(math.log2(_log2n(g.n)))
     for it in range(loops):
@@ -264,29 +265,26 @@ def color_dense_nodes(network: Network, acd, overlays, seed: int = 0) -> dict:
         if not active:
             break
         random_color_trial(network, active, phase="dense_r0")
-        e, r, u = _layer_metrics(network, acd, partitions, 0)
+        e, r, u = _layer_metrics(network, clique_of, 0)
         trajectory.append((0, it, e, r, u))
-    r0_sizes = {
-        ac: sum(1 for v in acd.cliques[ac]
-                if partitions[ac].layer(v) == 0 and network.color.item(v) < 0)
-        for ac in partitions
-    }
-    leftover0 = r0[network.color[r0] < 0].tolist()
-    if leftover0:
-        color_small_degree(network, leftover0)
+    leftover0 = r0[network.color[r0] < 0]
+    r0_sizes = dict(zip(sorted(acd.cliques), np.bincount(
+        clique_of[leftover0], minlength=len(acd.cliques)).tolist()))
+    if leftover0.size:
+        color_small_degree(network, leftover0.tolist())
 
     # middle layers, leader-coordinated; the last layer is small enough to go
     # straight to the final low-degree sweep
     failures = 0
-    for layer in range(1, t):
+    for layer in range(1, schedule.t):
         active = dense[network.layer[dense] == layer]
         trial_loop(network, active, cfg.k4, "dense_layer_rct")
         iters = cfg.k5 * math.ceil(math.log2(max(2.0, math.log2(max(4, g.delta)))))
         for it in range(iters):
             res = synchronized_color_trial(network, acd, overlays, layer,
-                                           partitions)
+                                           schedule, clique_of)
             failures += res["failures"]
-            e, r, u = _layer_metrics(network, acd, partitions, layer)
+            e, r, u = _layer_metrics(network, clique_of, layer)
             trajectory.append((layer, it, e, r, u))
             if u == 0:
                 break
@@ -296,7 +294,6 @@ def color_dense_nodes(network: Network, acd, overlays, seed: int = 0) -> dict:
         color_small_degree(network, rest)
     return {
         "rounds": network.stats.rounds - start,
-        "partitions": partitions,
         "r0_sizes": r0_sizes,
         "trajectory": trajectory,
         "failures": failures,

@@ -1,7 +1,7 @@
 """Graph construction, edge-list I/O, palettes, and ground-truth oracles.
 
 Everything in this module is pure. The validators here (`verify_coloring`,
-the similarity/density oracles) audit the distributed algorithms; they share
+the density oracle) audit the distributed algorithms; they share
 no code with them.
 """
 
@@ -330,12 +330,6 @@ def load_palettes(text: str) -> PaletteAssignment:
 
 # ---------------------------------------------------------------------------
 # oracles
-
-
-def similarity_oracle(graph: Graph, u: int, v: int, gamma: float) -> bool:
-    """gamma-similar: |N(u) cap N(v)| >= (1-gamma)*Delta."""
-    inter = len(set(graph.neighbors(u)).intersection(graph.neighbors(v)))
-    return inter >= (1.0 - gamma) * graph.delta
 
 
 def density_oracle(graph: Graph, v: int, gamma: float) -> bool:

@@ -111,10 +111,7 @@ def compute_overlay(network: Network, clique, leader: int,
     rounds_before = network.round_counter
     # leader-rooted renumbering so members know |C| and all member IDs, after
     # which one neighbor-exchange round reveals each node's non-neighbors
-    network.tree_aggregate(members, leader, "sum",
-                           {v: 1 for v in members}, phase="overlay_setup")
-    network.tree_aggregate(members, leader, "broadcast",
-                           {leader: len(members)}, phase="overlay_setup")
+    network.tree_aggregate(members, leader, phase="overlay_setup")
     ms = np.array(sorted(members), dtype=np.int64)
     block = _adjacency_block(g, ms)
     m_int = int(block.sum()) // 2

@@ -3,9 +3,12 @@
 Every primitive books its cost through `charge_phase`: rounds and messages
 computed arithmetically (vectorized color trials, tree aggregation, overlay
 routing), after asserting that the widest per-edge load fits the budget. A
-value wider than the budget is charged over `chunks(bits)` rounds. The
-literal message-by-message engine that these charges are checked against
-lives in the tests.
+value wider than the budget is charged over `chunks(bits)` rounds. Tree
+aggregation is a charge only: `tree_aggregate` books an ID-wide convergecast
+and its broadcast over a cached BFS tree and computes no value, since the
+simulator already holds every count its callers aggregate. The literal
+message-by-message engine that these charges are checked against lives in
+the tests.
 
 Work on disjoint node sets runs in the same rounds: inside
 `with network.parallel() as branch:`, each `with branch():` books into its
@@ -414,9 +417,6 @@ class Network:
     def palette_size(self, v: int) -> int:
         return self.live.item(v)
 
-    def palette_contains(self, v: int, c: int) -> bool:
-        return bool(self.in_palettes(np.array([v]), np.array([c]))[0])
-
     def _find(self, nodes, colors):
         """Entry index of each (node, color) pair in the palette CSR, and
         whether the color is on the node's list at all."""
@@ -460,9 +460,6 @@ class Network:
             if c not in out:
                 out.append(c)
         return out
-
-    def assign_color(self, v: int, c: int):
-        self.assign_colors([v], [c])
 
     def assign_colors(self, nodes, colors):
         """Permanently color nodes[i] with colors[i], all in one step. The
@@ -509,77 +506,27 @@ class Network:
         done = np.flatnonzero(self.color >= 0)
         return dict(zip(done.tolist(), self.color[done].tolist()))
 
-    def uncolored(self) -> list:
-        return np.flatnonzero(self.color < 0).tolist()
-
     # -- tree aggregation ----------------------------------------------------
 
-    def _bfs_tree(self, cluster: frozenset, root: int):
-        key = (root, cluster)
-        cached = self._tree_cache.get(key)
-        if cached is not None:
-            return cached
-        depth = self.graph.bfs(root, cluster)
-        if len(depth) != len(cluster):
-            raise SimError("tree_aggregate: cluster is not connected")
-        tree = (depth, max(depth.values()))
-        self._tree_cache[key] = tree
-        return tree
-
-    def tree_aggregate(self, cluster, root: int, op: str, values=None,
-                       value_bits: int | None = None, phase: str = "aggregate"):
-        """Aggregate over a connected cluster via its cached BFS tree.
-
-        Returns (result, rounds_used). `broadcast` delivers values[root] to all
-        members; convergecast gathers {v: value}; min/sum/bitwise_max/
-        bitwise_and reduce per-node integers to the root. Wide values are split
-        across rounds and charged accordingly.
-        """
+    def tree_aggregate(self, cluster, root: int, phase: str = "aggregate") -> int:
+        """Charge one ID-wide convergecast to `root` over the cluster's cached
+        BFS tree and the broadcast of its result back down; returns the
+        rounds, twice the tree depth. Each tree edge carries one message
+        each way."""
         cluster = frozenset(cluster)
         if root not in cluster:
             raise SimError("root not in cluster")
-        if value_bits is None:
-            value_bits = self.id_bits
-        if value_bits > self.config.max_agg_bits:
-            raise SimError(
-                f"aggregate value of {value_bits} bits exceeds configured "
-                f"maximum {self.config.max_agg_bits}"
-            )
-        depth, tree_depth = self._bfs_tree(cluster, root)
-        chunk = self.chunks(value_bits)
-        members = len(cluster)
-        if op == "broadcast":
-            result = {v: values[root] for v in cluster}
-            rounds = tree_depth * chunk
-            messages = (members - 1) * chunk
-        elif op == "convergecast":
-            result = {v: values[v] for v in cluster}
-            # values pipelined upward: depth to drain plus one slot per value
-            rounds = tree_depth + members * chunk
-            messages = sum(depth[v] for v in cluster) * chunk
-        elif op in ("min", "sum", "bitwise_max", "bitwise_and"):
-            vals = [values[v] for v in cluster]
-            if op == "min":
-                result = min(vals)
-            elif op == "sum":
-                result = sum(vals)
-            elif op == "bitwise_max":
-                acc = 0
-                for x in vals:
-                    acc |= int(x)
-                result = acc
-            else:
-                acc = -1
-                for x in vals:
-                    acc &= int(x)
-                result = acc
-            rounds = tree_depth * chunk
-            messages = (members - 1) * chunk
-        else:
-            raise SimError(f"unknown aggregate op {op}")
-        max_bits = min(value_bits, self.bandwidth_bits) if members > 1 else 0
-        self.charge_phase(phase, rounds, messages, max_bits)
-        return result, rounds
+        key = (root, cluster)
+        depth = self._tree_cache.get(key)
+        if depth is None:
+            dist = self.graph.bfs(root, cluster)
+            if len(dist) != len(cluster):
+                raise SimError("tree_aggregate: cluster is not connected")
+            depth = self._tree_cache[key] = max(dist.values())
+        rounds = 2 * depth
+        self.charge_phase(phase, rounds, 2 * (len(cluster) - 1),
+                          self.id_bits if len(cluster) > 1 else 0)
+        return rounds
 
 
 def new_network(graph: Graph, palettes: PaletteAssignment, config, seed: int) -> Network:

@@ -1,8 +1,9 @@
 """Brute-force references over a `Graph`: the per-edge loop constructor and
 the edge-list generators that `Graph` and `graphs.generate` are checked
 against, the writers whose files `graphs.load_edge_list` and
-`graphs.load_palettes` read back, local sparsity, a sequential greedy list coloring, and the per-edge loop form
-of `graphs.verify_coloring` that the array version is checked against."""
+`graphs.load_palettes` read back, local sparsity, the similarity oracle, a
+sequential greedy list coloring, and the per-edge loop form of
+`graphs.verify_coloring` that the array version is checked against."""
 
 from fractions import Fraction
 
@@ -143,6 +144,12 @@ def local_sparsity(graph, v: int) -> Fraction:
     if d < 1:
         raise GraphError("local sparsity undefined for Delta < 1")
     return Fraction(d * (d - 1) // 2 - neighborhood_edge_count(graph, v), d)
+
+
+def similarity_oracle(graph, u: int, v: int, gamma: float) -> bool:
+    """gamma-similar: |N(u) cap N(v)| >= (1-gamma)*Delta."""
+    inter = len(set(graph.neighbors(u)).intersection(graph.neighbors(v)))
+    return inter >= (1.0 - gamma) * graph.delta
 
 
 def greedy_list_coloring(graph, palettes) -> dict:

@@ -49,10 +49,7 @@ def compute_overlay_reference(network: Network, clique, leader: int,
     rounds_before = network.round_counter
     # leader-rooted renumbering so members know |C| and all member IDs, after
     # which one neighbor-exchange round reveals each node's non-neighbors
-    network.tree_aggregate(members, leader, "sum",
-                           {v: 1 for v in members}, phase="overlay_setup")
-    network.tree_aggregate(members, leader, "broadcast",
-                           {leader: len(members)}, phase="overlay_setup")
+    network.tree_aggregate(members, leader, phase="overlay_setup")
     m_int = sum(
         1 for u in members for w in g.neighbors(u) if w in members
     ) // 2

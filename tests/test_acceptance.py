@@ -119,7 +119,7 @@ def test_criterion_04_trial_colors_a_ninth_per_iteration():
         }
         net = new_network(g, PaletteAssignment(u_size, lists), SimConfig(), seed)
         for _ in range(5):
-            active = net.uncolored()
+            active = np.flatnonzero(net.color < 0).tolist()
             if not active:
                 break
             winners = random_color_trial(net, active)
@@ -164,11 +164,10 @@ def test_criterion_06_degree_reduction_rate():
         net = new_network(g, PaletteAssignment(u_size, lists), SimConfig(), seed)
         hist = []
         for _ in range(8):
-            hist.append(max(
-                (int(net.udeg[v]) for v in net.uncolored()), default=0) / s)
-            if not net.uncolored():
+            hist.append(int(net.udeg[net.color < 0].max(initial=0)) / s)
+            if (net.color >= 0).all():
                 break
-            random_color_trial(net, net.uncolored())
+            random_color_trial(net, np.flatnonzero(net.color < 0).tolist())
         histories.append(hist)
     floor = (4.0 * logn) / s
     iters = min(len(h) for h in histories) - 1
@@ -309,7 +308,7 @@ def test_criterion_10_two_node_trial_frequency():
     for seed in range(seeds):
         net = new_network(g, pal, SimConfig(), seed)
         random_color_trial(net, [0, 1])
-        both += len(net.uncolored()) == 0
+        both += bool((net.color >= 0).all())
     freq = both / seeds
     assert 0.45 <= freq <= 0.55, f"both-colored frequency {freq:.4f}"
 

@@ -216,7 +216,7 @@ def test_f_edge_soundness():
         {"k": 2, "delta": 64, "removal": 0.01, "inter_p": 0.0},
         seed=4,
     )
-    from congestcolor.graphs import similarity_oracle
+    from graph_oracles import similarity_oracle
 
     total = friendly = 0
     for seed in range(20):

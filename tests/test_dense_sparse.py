@@ -3,12 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
+
+from congestcolor import dense_sparse
 
 from congestcolor.acd import AlmostCliqueDecomposition, compute_acd
 from congestcolor.config import SimConfig
 from congestcolor.dense_sparse import (
-    LayerPartition,
+    LayerSchedule,
+    _layer_metrics,
+    clique_index,
     color_dense_nodes,
     color_sparse_nodes,
     layer_schedule,
@@ -85,14 +90,13 @@ def test_partition_sizes_near_expectation():
         "planted_almost_cliques", {"k": 1, "delta": 512, "removal": 0.03}, seed=2
     )
     net = net_for(g, 2, c_layer=0.25)
-    part = partition_layers(net, range(g.n), seed=0)
-    assert part.t >= 2
-    assert sum(part.probabilities) == 1
-    sizes = [0] * (part.t + 1)
-    for v, layer in part.assignment.items():
-        sizes[layer] += 1
-        assert net.layer[v] == layer
-    lam1 = part.lambdas[1] * g.n / g.delta
+    schedule = layer_schedule(net)
+    partition_layers(net, range(g.n), schedule, seed=0)
+    assert schedule.t >= 2
+    assert sum(schedule.probabilities) == 1
+    sizes = np.bincount(net.layer, minlength=schedule.t + 1)
+    assert sizes.size == schedule.t + 1
+    lam1 = schedule.lambdas[1] * g.n / g.delta
     assert 0.3 * lam1 <= sizes[1] <= 3.0 * lam1
     assert sizes[0] > 0.8 * g.n
 
@@ -113,14 +117,15 @@ def test_sync_trial_single_member():
     g, net, acd, overlays = single_clique_setup(n)
     probs = (Fraction(1) - Fraction(1, 8) - Fraction(1, 16),
              Fraction(1, 8), Fraction(1, 16))
-    assignment = {v: 0 for v in range(n)}
-    assignment[7] = 1
-    part = LayerPartition(1, 2, probs, tuple(32 * float(p) for p in probs),
-                          assignment)
-    res = synchronized_color_trial(net, acd, overlays, 1, {0: part})
+    net.layer[:] = 0
+    net.layer[7] = 1
+    schedule = LayerSchedule(1, 2, probs, tuple(32 * float(p) for p in probs))
+    res = synchronized_color_trial(net, acd, overlays, 1, schedule,
+                                   clique_index(net, acd))
     assert res == {"tried": 1, "colored": 1, "failures": 0}
     c = net.coloring()[7]
-    assert not any(net.palette_contains(u, c) for u in g.neighbors(7))
+    nbrs = np.array(g.neighbors(7))
+    assert not net.in_palettes(nbrs, np.full(nbrs.size, c)).any()
 
 
 def test_sync_trial_candidates_distinct_in_clique():
@@ -129,15 +134,15 @@ def test_sync_trial_candidates_distinct_in_clique():
     n = 40
     g, net, acd, overlays = single_clique_setup(n)
     probs = (Fraction(3, 4), Fraction(1, 8), Fraction(1, 8))
-    assignment = {v: (1 if v % 8 == 0 else 0) for v in range(n)}
-    part = LayerPartition(1, 2, probs, tuple(39 * float(p) for p in probs),
-                          assignment)
+    net.layer[:] = np.arange(n) % 8 == 0
+    schedule = LayerSchedule(1, 2, probs, tuple(39 * float(p) for p in probs))
     for _ in range(6):
-        res = synchronized_color_trial(net, acd, overlays, 1, {0: part})
+        res = synchronized_color_trial(net, acd, overlays, 1, schedule,
+                                       clique_index(net, acd))
         assert res["colored"] == res["tried"]
         if res["tried"] == 0:
             break
-    layer1 = [v for v in range(n) if assignment[v] == 1]
+    layer1 = np.flatnonzero(net.layer == 1)
     assert (net.color[layer1] >= 0).all()
     rep = verify_coloring(g, net.palettes, net.coloring(), allow_partial=True)
     assert rep.ok
@@ -145,13 +150,21 @@ def test_sync_trial_candidates_distinct_in_clique():
 
 def test_sync_trial_layer_range_checked():
     g, net, acd, overlays = single_clique_setup(12)
-    part = LayerPartition(1, 1, (Fraction(1, 2), Fraction(1, 2)), (6.0, 6.0),
-                          {v: 0 for v in range(12)})
+    net.layer[:] = 0
+    schedule = LayerSchedule(1, 1, (Fraction(1, 2), Fraction(1, 2)), (6.0, 6.0))
     with pytest.raises(SimError, match="layer"):
-        synchronized_color_trial(net, acd, overlays, 1, {0: part})
+        synchronized_color_trial(net, acd, overlays, 1, schedule,
+                                 clique_index(net, acd))
 
 
-def test_dense_stage_colors_planted_cliques():
+def test_dense_stage_colors_planted_cliques(monkeypatch):
+    schedules = []
+
+    def counted(*args, **kwargs):
+        schedules.append(layer_schedule(*args, **kwargs))
+        return schedules[-1]
+
+    monkeypatch.setattr(dense_sparse, "layer_schedule", counted)
     g = generate(
         "planted_almost_cliques",
         {"k": 2, "delta": 64, "removal": 0.01, "inter_p": 0.0},
@@ -173,6 +186,27 @@ def test_dense_stage_colors_planted_cliques():
     assert res["rounds"] > 0
     assert res["trajectory"]
     assert net.stats.max_edge_bits_per_round <= net.bandwidth_bits
+    assert len(acd.cliques) == 2 and len(schedules) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 40), st.floats(0.05, 0.6), st.integers(0, 2 ** 16),
+       st.integers(1, 4), st.integers(0, 2), st.data())
+def test_layer_metrics_match_per_node_loop(n, p, seed, k, layer, data):
+    g = generate("gnp", {"n": n, "p": p}, seed=seed)
+    net = net_for(g, seed)
+    ints = lambda lo, hi: st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+    clique_of = np.array(data.draw(ints(-1, k - 1)), dtype=np.int64)
+    net.layer[:] = data.draw(ints(-1, 2))
+    # the metrics read only whether a node is colored
+    net.color[:] = data.draw(ints(-1, 0))
+    live = [v for v in range(n) if clique_of[v] >= 0
+            and net.layer[v] == layer and net.color[v] < 0]
+    max_e = max((sum(1 for w in g.neighbors(u)
+                     if w in live and clique_of[w] != clique_of[u])
+                 for u in live), default=0)
+    max_r = max(sum(1 for w in g.neighbors(x) if w in live) for x in range(n))
+    assert _layer_metrics(net, clique_of, layer) == (max_e, max_r, len(live))
 
 
 def test_dense_stage_load_within_cap_at_128():

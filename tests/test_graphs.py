@@ -15,7 +15,6 @@ from congestcolor.graphs import (
     generate,
     load_edge_list,
     make_palettes,
-    similarity_oracle,
     verify_coloring,
 )
 from graph_oracles import (
@@ -23,6 +22,7 @@ from graph_oracles import (
     local_sparsity,
     save_edge_list,
     save_palettes,
+    similarity_oracle,
     verify_coloring_reference,
 )
 

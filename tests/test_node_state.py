@@ -69,9 +69,12 @@ def base_and_removed(net, v):
     return base, taken & set(base)
 
 
+def uncolored(net):
+    return np.flatnonzero(net.color < 0).tolist()
+
+
 def check_state(net):
     coloring = net.coloring()
-    assert net.uncolored() == [v for v in range(net.graph.n) if v not in coloring]
     for v in range(net.graph.n):
         nbrs = net.graph.neighbors(v)
         assert net.udeg[v] == sum(1 for u in nbrs if u not in coloring)
@@ -82,8 +85,8 @@ def check_state(net):
 
 def random_step(net, data):
     """One try_color_round over a drawn subset of uncolored nodes with drawn
-    palette picks, or one assign_color of a drawn live color."""
-    active = [v for v in net.uncolored() if net.palette_size(v)]
+    palette picks, or one single-node assign_colors of a drawn live color."""
+    active = [v for v in uncolored(net) if net.palette_size(v)]
     if not active:
         return
     if data.draw(st.booleans()):
@@ -94,7 +97,7 @@ def random_step(net, data):
         assert all(net.coloring()[v] == picks[v] for v in winners)
     else:
         v = data.draw(st.sampled_from(active))
-        net.assign_color(v, data.draw(st.sampled_from(net.palette(v))))
+        net.assign_colors([v], [data.draw(st.sampled_from(net.palette(v)))])
 
 
 @settings(max_examples=150, deadline=None)
@@ -124,21 +127,21 @@ def test_batch_equals_one_at_a_time(inst, data):
         rng = np.random.default_rng(prefix_seed)
         for _ in range(steps):
             picks = {v: net.palette(v)[int(rng.integers(net.palette_size(v)))]
-                     for v in net.uncolored() if net.palette_size(v)}
+                     for v in uncolored(net) if net.palette_size(v)}
             try_color_round(net, picks)
     assert state(nets[0]) == state(nets[1])
     # a valid batch: distinct uncolored nodes with live colors, no two
     # adjacent ones sharing a color
     net = nets[0]
     batch = {}
-    for v in data.draw(st.permutations(net.uncolored())):
+    for v in data.draw(st.permutations(uncolored(net))):
         free = [c for c in net.palette(v)
                 if all(batch.get(u) != c for u in g.neighbors(v))]
         if free and data.draw(st.booleans()):
             batch[v] = data.draw(st.sampled_from(free))
     nets[0].assign_colors(list(batch), list(batch.values()))
     for v, c in batch.items():
-        nets[1].assign_color(v, c)
+        nets[1].assign_colors([v], [c])
     assert state(nets[0]) == state(nets[1])
     check_state(nets[0])
 

@@ -107,14 +107,14 @@ def test_layer_draws_equal_default_rng():
                  {"k": 1, "delta": 512, "removal": 0.03}, seed=2)
     net = new_network(g, make_palettes(g, seed=3, mode="shared"),
                       SimConfig(c_layer=0.25), 2)
-    part = partition_layers(net, range(g.n), seed=9)
-    assert part.t >= 2
-    _, _, probs, _, _ = layer_schedule(net)
-    cumulative = np.cumsum([float(p) for p in probs])
+    schedule = layer_schedule(net)
+    partition_layers(net, range(g.n), schedule, seed=9)
+    assert schedule.t >= 2
+    cumulative = np.cumsum([float(p) for p in schedule.probabilities])
     for v in range(g.n):
         u = np.random.default_rng([2, _LAYER_TAG, 9, v]).random()
-        want = min(int(np.searchsorted(cumulative, u, side="right")), part.t)
-        assert part.layer(v) == want
+        want = min(int(np.searchsorted(cumulative, u, side="right")), schedule.t)
+        assert net.layer[v] == want
 
 
 def test_negative_seed_raises_like_default_rng():

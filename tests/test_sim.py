@@ -1,5 +1,11 @@
-import pytest
+import ast
+from dataclasses import fields
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from congestcolor import config
 from congestcolor.config import SimConfig
 from congestcolor.graphs import generate, make_palettes
 from congestcolor.sim import BandwidthError, SimError, new_network
@@ -15,7 +21,7 @@ def mk(graph_model="complete", n=3, seed=7, **cfg):
 def test_new_network_k3():
     net = mk()
     assert net.round_counter == 0
-    assert net.uncolored() == [0, 1, 2]
+    assert (net.color == -1).all()
     assert len(net.color) == 3
 
 
@@ -119,51 +125,61 @@ def test_determinism_traces_match():
 
 def test_tree_aggregate_single_node_broadcast():
     net = mk(graph_model="path", n=5)
-    result, rounds = net.tree_aggregate({2}, 2, "broadcast", {2: 42})
-    assert result == {2: 42} and rounds == 0
+    assert net.tree_aggregate({2}, 2) == 0
+    assert net.stats.snapshot()["total_messages"] == 0
 
 
 def test_tree_aggregate_sum_path():
     net = mk(graph_model="path", n=5)
-    cluster = set(range(5))
-    result, rounds = net.tree_aggregate(cluster, 0, "sum", {v: 1 for v in cluster})
-    assert result == 5
-    assert rounds >= 4
-
-
-def test_tree_aggregate_bitwise_max():
-    net = mk(graph_model="path", n=2)
-    result, _ = net.tree_aggregate({0, 1}, 0, "bitwise_max", {0: 0b1010, 1: 0b0110})
-    assert result == 0b1110
-
-
-def test_tree_aggregate_bitwise_and():
-    net = mk(graph_model="path", n=2)
-    result, _ = net.tree_aggregate({0, 1}, 0, "bitwise_and", {0: 0b1010, 1: 0b0110})
-    assert result == 0b0010
+    assert net.tree_aggregate(set(range(5)), 0, phase="agg") == 8
+    assert net.stats.per_phase == {"agg": 8}
+    assert net.stats.total_messages == 8
+    assert net.stats.max_edge_bits_per_round == net.id_bits
 
 
 def test_tree_aggregate_disconnected_rejected():
     net = mk(graph_model="path", n=5)
     with pytest.raises(SimError, match="connected"):
-        net.tree_aggregate({0, 4}, 0, "sum", {0: 1, 4: 1})
+        net.tree_aggregate({0, 4}, 0)
 
 
-def test_tree_aggregate_wide_value_rejected():
-    net = mk(graph_model="path", n=3, max_agg_bits=8)
-    with pytest.raises(SimError, match="maximum"):
-        net.tree_aggregate({0, 1}, 0, "sum", {0: 1, 1: 1}, value_bits=64)
+@st.composite
+def clusters(draw):
+    """A graph of at most 64 nodes, a connected node set in it and a root:
+    a single node, a whole path or star, or the root's component inside a
+    random node subset of a G(n, p)."""
+    kind = draw(st.sampled_from(["single", "path", "star", "gnp"]))
+    n = draw(st.integers(2, 64))
+    if kind == "gnp":
+        p = draw(st.floats(0.02, 0.5))
+        g = generate("gnp", {"n": n, "p": p}, seed=draw(st.integers(0, 999)))
+    else:
+        g = generate("path" if kind == "single" else kind, {"n": n}, seed=0)
+    root = draw(st.integers(0, n - 1))
+    if kind == "single":
+        return g, {root}, root
+    if kind != "gnp":
+        return g, set(range(n)), root
+    keep = set(draw(st.sets(st.integers(0, n - 1)))) | {root}
+    return g, set(g.bfs(root, keep)), root
 
 
-def test_wide_value_split_charges_more_rounds():
-    net = mk(graph_model="path", n=5)
-    cluster = set(range(5))
-    _, r1 = net.tree_aggregate(cluster, 0, "min", {v: v for v in cluster})
-    _, r2 = net.tree_aggregate(
-        cluster, 0, "min", {v: v for v in cluster},
-        value_bits=3 * net.bandwidth_bits,
-    )
-    assert r2 > r1
+@settings(max_examples=150, deadline=None)
+@given(clusters(), st.data())
+def test_tree_aggregate_charge_matches_literal_run(inst, data):
+    g, cluster, root = inst
+    pal = make_palettes(g, seed=1, mode="shared")
+    charged, literal = (new_network(g, pal, SimConfig(), 3) for _ in range(2))
+    values = {v: data.draw(st.integers(0, 1)) for v in sorted(cluster)}
+    rounds = charged.tree_aggregate(cluster, root, phase="agg")
+    total = LiteralEngine(literal).tree_aggregate(cluster, root, values,
+                                                  phase="agg")
+    assert total == sum(values.values())
+    assert rounds == literal.stats.rounds
+    bill = lambda net: (net.stats.rounds, net.stats.total_messages,
+                        net.stats.max_edge_bits_per_round,
+                        net.stats.per_phase.get("agg", 0))
+    assert bill(charged) == bill(literal)
 
 
 def test_bandwidth_soundness_tracked():
@@ -183,9 +199,9 @@ def test_untraced_coloring_logs_nothing(monkeypatch):
         raise AssertionError("log called with tracing off")
 
     monkeypatch.setattr(net, "log", no_log)
-    net.assign_color(0, min(net.palette(0)))
+    net.assign_colors([0], [min(net.palette(0))])
     traced = mk(trace=True)
-    traced.assign_color(0, min(traced.palette(0)))
+    traced.assign_colors([0], [min(traced.palette(0))])
     assert [e for _, _, e, _ in traced.trace] == ["color"]
 
 
@@ -195,5 +211,19 @@ def test_config_text_round_trip():
     assert back == cfg
     assert type(back.k1) is int and type(back.c_p) is float
     assert SimConfig.from_text("trace=no\n").trace is False
-    with pytest.raises(ValueError, match="unknown config key"):
-        SimConfig.from_text("nope=1\n")
+    for text in ("nope=1\n", "max_agg_bits=4096\n"):
+        with pytest.raises(ValueError, match="unknown config key"):
+            SimConfig.from_text(text)
+
+
+def test_every_config_field_is_read():
+    """A knob leaves with its last reader: each `SimConfig` field is read,
+    as an attribute of that name, by some module of the package other than
+    config.py."""
+    read = set()
+    for path in Path(config.__file__).parent.glob("*.py"):
+        if path.name != "config.py":
+            read.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                        if isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load))
+    assert not [f.name for f in fields(SimConfig) if f.name not in read]

@@ -246,7 +246,7 @@ def test_stale_colormap_recertified():
     cmap = reduce_colorspace(net, cluster)
     pick = sorted(set(net.palette(12)) & set(net.palette(11)))
     if pick:
-        net.assign_color(12, pick[0])
+        net.assign_colors([12], [pick[0]])
     color_clusters(net, decomp, {cluster: cmap})
     rep = verify_coloring(
         extra, pal, net.coloring(), allow_partial=bool(net.color[12] < 0)

@@ -118,8 +118,8 @@ def test_stale_colormap_rederived_like_the_reference():
         decomp = small_degree.decompose_clusters(net, range(12), r_cluster=13)
         (cluster,) = decomp.all_clusters()
         cmap = impl.reduce_colorspace(net, cluster)
-        net.assign_color(12, sorted(set(net.palette(12))
-                                    & set(net.palette(11)))[0])
+        net.assign_colors([12], [sorted(set(net.palette(12))
+                                       & set(net.palette(11)))[0]])
         before = net.stats.per_phase["small_reduce"]
         impl.color_clusters(net, decomp, {cluster: cmap})
         assert net.stats.per_phase["small_reduce"] > before

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from congestcolor.config import SimConfig
@@ -25,7 +26,7 @@ def test_try_color_isolated_winner():
     winners = try_color_round(net, {0: c})
     assert winners == [0]
     assert net.color[0] == c
-    assert not net.palette_contains(1, c)
+    assert not net.in_palettes(np.array([1]), np.array([c]))[0]
     # the non-adjacent node keeps its full list
     assert net.palette_size(2) == net.graph.delta + 1
 
@@ -36,8 +37,7 @@ def test_try_color_conflict_blocks_both():
     winners = try_color_round(net, {0: c, 1: c})
     assert winners == []
     assert net.color[0] == -1 and net.color[1] == -1
-    assert net.palette_contains(0, c)
-    assert net.palette_contains(1, c)
+    assert net.in_palettes(np.array([0, 1]), np.array([c, c])).all()
 
 
 def test_try_color_path_mixed_picks():
@@ -96,7 +96,7 @@ def test_rct_empty_palette_hard_failure():
 
 def test_rct_names_first_empty_palette_in_active_order():
     net = mk("path", {"n": 5})
-    net.assign_color(0, net.palette(0)[0])
+    net.assign_colors([0], [net.palette(0)[0]])
     for v in (0, 2, 4):
         net.removed[net.pal_ptr[v]:net.pal_ptr[v + 1]] = True
         net.live[v] = 0
@@ -108,8 +108,8 @@ def test_rct_names_first_empty_palette_in_active_order():
 def test_rct_skips_colored_nodes_without_drawing():
     net = mk("path", {"n": 4})
     ref = mk("path", {"n": 4})
-    net.assign_color(1, net.palette(1)[0])
-    ref.assign_color(1, ref.palette(1)[0])
+    net.assign_colors([1], [net.palette(1)[0]])
+    ref.assign_colors([1], [ref.palette(1)[0]])
     random_color_trial(net, [1, 3])
     random_color_trial(ref, [3])
     assert net.coloring() == ref.coloring()
@@ -119,11 +119,11 @@ def test_rct_skips_colored_nodes_without_drawing():
 def test_rct_progress_on_cycle():
     net = mk("cycle", {"n": 30}, seed=5)
     for _ in range(60):
-        active = net.uncolored()
+        active = np.flatnonzero(net.color < 0).tolist()
         if not active:
             break
         random_color_trial(net, active)
-    assert not net.uncolored()
+    assert (net.color >= 0).all()
     assert verify_coloring(net.graph, net.palettes, net.coloring()).ok
 
 
@@ -138,7 +138,7 @@ def test_slack_generation_preserves_clique_tightness():
     # complete graph with one shared (Delta+1)-list: slack stays exactly 1
     net = mk("complete", {"n": 17}, seed=3)
     slack_generation(net)
-    for v in net.uncolored():
+    for v in np.flatnonzero(net.color < 0).tolist():
         assert measure_slack(net, v) == 1
 
 
@@ -155,7 +155,7 @@ def test_multi_trial_distinct_in_palette():
     with net.streams.generators([0]) as (rng,):
         out = multi_trial(net, 0, 5, net.palette(0), rng)
     assert len(out) == 5 and len(set(out)) == 5
-    assert all(net.palette_contains(0, c) for c in out)
+    assert net.in_palettes(np.zeros(5, dtype=np.int64), np.array(out)).all()
 
 
 def test_multi_trial_clamps_to_palette_size():
@@ -181,8 +181,8 @@ def test_slack_monotone_under_coloring():
     net = mk("gnp", {"n": 60, "p": 0.2}, seed=2)
     before = {v: measure_slack(net, v) for v in range(net.graph.n)}
     for _ in range(5):
-        random_color_trial(net, net.uncolored())
-    for v in net.uncolored():
+        random_color_trial(net, np.flatnonzero(net.color < 0).tolist())
+    for v in np.flatnonzero(net.color < 0).tolist():
         assert measure_slack(net, v) >= before[v]
 
 
@@ -190,7 +190,7 @@ def test_full_run_deterministic():
     outs = []
     for _ in range(2):
         net = mk("gnp", {"n": 50, "p": 0.15}, seed=11)
-        while net.uncolored():
-            random_color_trial(net, net.uncolored())
+        while (net.color < 0).any():
+            random_color_trial(net, np.flatnonzero(net.color < 0).tolist())
         outs.append((net.coloring(), net.stats.snapshot()))
     assert outs[0] == outs[1]
