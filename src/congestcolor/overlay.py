@@ -13,18 +13,22 @@ indices, and an s x s boolean adjacency block is filled from their CSR rows.
 The block gives the clique's edge count, its non-edges in row-major (u, v)
 order, the common-neighbor check (row ANDs) and whether a proposed relay is
 adjacent to both ends of a pair. Each non-edge is handled by its higher
-endpoint. A handler's pairs share one sorted list of its clique neighbors as
-their apparent palette; a pair copies the list on its first permanent
-rejection. The node streams see a fixed sequence of draws: in each
-capped round, one `integers` call per pending pair from its handler's stream,
-in non-edge order; in each finishing round, one `permutation` call per
-pending pair (`multi_trial` on the same sorted palette).
+endpoint. A pair's apparent palette is its handler's block row minus the
+pair's row of a pruned mask, which permanent rejections mark. Every round's
+proposals are adjudicated in one array pass over (pair, relay) entries.
+
+The node streams see a fixed sequence of draws. In each capped round, every
+pending pair makes one `integers` call on its handler's stream, a handler's
+pairs in non-edge order: pass j of the round draws for the j-th pending pair
+of every handler in one `Streams.integers` call. In each finishing round,
+every pending pair makes one `permutation` call (`multi_trial` on its sorted
+palette), in non-edge order, on generators checked out only for the handlers
+that still have a pending pair after the cap.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -55,29 +59,18 @@ class OverlayReport:
         return not self.violations
 
 
-def _member_adjacency(graph, ms):
-    """The local index of every node (-1 outside the sorted members `ms`)
-    and the s x s adjacency among the members, marked from their CSR rows."""
-    local = np.full(graph.n, -1)
-    local[ms] = np.arange(len(ms))
-    at, j = graph.rows(ms)
-    j = local[j]
-    marked = np.zeros((len(ms), len(ms)), dtype=bool)
-    marked[at[j >= 0], j[j >= 0]] = True
-    return local, marked
-
-
 def _adjacency_block(graph, ms):
     """Boolean adjacency among the sorted members `ms` (an int64 array):
     entry [i, j] says whether ms[i] and ms[j] are adjacent. Filled from the
     members' CSR rows, whose entries outside the clique are dropped."""
     s = len(ms)
+    local = np.full(graph.n, -1)
+    local[ms] = np.arange(s)
     rows, nbrs = graph.rows(ms)
-    cols = np.minimum(np.searchsorted(ms, nbrs), s - 1)
-    inside = ms[cols] == nbrs
-    block = np.zeros((s, s), dtype=bool)
-    block[rows[inside], cols[inside]] = True
-    return block
+    cols = local[nbrs]
+    block = np.zeros(s * s, dtype=bool)
+    block[(rows * s + cols)[cols >= 0]] = True
+    return block.reshape(s, s)
 
 
 def compute_overlay(network: Network, clique, leader: int,
@@ -113,133 +106,130 @@ def compute_overlay(network: Network, clique, leader: int,
     # which one neighbor-exchange round reveals each node's non-neighbors
     network.tree_aggregate(members, leader, phase="overlay_setup")
     ms = np.array(sorted(members), dtype=np.int64)
+    s = len(ms)
     block = _adjacency_block(g, ms)
     m_int = int(block.sum()) // 2
     network.charge_phase("overlay_setup", 1, 2 * m_int, network.id_bits)
 
-    # non-edges (ms[i], ms[j]) with i < j, in row-major order
-    iu, iv = np.nonzero(np.triu(~block, 1))
-    step = max(1, _AND_BUDGET // len(ms))
-    for a in range(0, len(iu), step):
-        has_common = (block[iu[a:a + step]] & block[iv[a:a + step]]).any(axis=1)
+    # pair p is the non-edge (ms[pu[p]], ms[pv[p]]), pu < pv, in row-major
+    # order; its handler is pv[p], the higher endpoint
+    pu, pv = np.nonzero(np.triu(~block, 1))
+    step = max(1, _AND_BUDGET // s)
+    for a in range(0, len(pu), step):
+        has_common = (block[pu[a:a + step]] & block[pv[a:a + step]]).any(axis=1)
         if not has_common.all():
             i = a + int(np.argmin(has_common))
             raise SimError(
-                f"non-edge ({ms[iu[i]]},{ms[iv[i]]}) has no common neighbor in clique"
+                f"non-edge ({ms[pu[i]]},{ms[pv[i]]}) has no common neighbor in clique"
             )
 
-    # pair (u, v) -> apparent palette of its handler v, the higher endpoint:
-    # v only knows its own adjacencies, so it starts from all its clique
-    # neighbors and prunes on rejections; v's pairs share one sorted list
-    # until their first prune
-    ids = ms.tolist()
-    local = {v: i for i, v in enumerate(ids)}
-    shared = {}
-    pending = {}
-    for i, j in zip(iu.tolist(), iv.tolist()):
-        handler = ids[j]
-        if handler not in shared:
-            shared[handler] = ms[block[j]].tolist()
-        pending[(ids[i], handler)] = shared[handler]
-
-    relays = {}
-    serving = defaultdict(set)       # relay -> endpoints of granted pairs
     grant_bits = 2 * network.id_bits + 1
     if grant_bits > network.bandwidth_bits:
         raise SimError("overlay grant message exceeds bandwidth")
 
-    def prune(pair, w):
-        """Permanent rejection: drop w from the pair's apparent palette."""
-        apparent = pending[pair]
-        if apparent is shared[pair[1]]:
-            apparent = pending[pair] = list(apparent)
-        i = bisect_left(apparent, w)
-        if i < len(apparent) and apparent[i] == w:
-            del apparent[i]
+    # the handler only knows its own adjacencies, so a pair's apparent
+    # palette starts as the handler's block row (row h of the CSR nbr_ptr,
+    # nbr_col) and loses the relays that reject it permanently: pruned[p, w],
+    # with `touched` marking the pairs that lost any
+    nbr_col = np.nonzero(block)[1]
+    nbr_ptr = np.zeros(s + 1, dtype=np.int64)
+    np.cumsum(block.sum(axis=1), out=nbr_ptr[1:])
+    pruned = np.zeros((len(pu), s), dtype=bool)
+    touched = np.zeros(len(pu), dtype=bool)
+    served = np.zeros((s, s), dtype=bool)    # [w, x]: w relays a pair with end x
+    relays = {}
+    degrees = g.degrees[ms]
+    ids = ms.tolist()
 
-    def relay_round(proposals):
-        """One paired round: proposals is {(u,v): [distinct candidate
-        relays]}. Granted pairs get their relay and leave `pending`."""
-        by_relay = defaultdict(list)
-        messages = 0
-        for pair, cands in proposals.items():
-            for w in cands:
-                by_relay[w].append(pair)
-            messages += len(cands)
-        tentative = defaultdict(list)
-        for w, reqs in sorted(by_relay.items()):
-            usable = []
-            served = serving[w]
-            # candidates come from the handlers' clique neighbors, so w is
-            # a member and its block row answers adjacency
-            adj = block[local[w]]
-            for pair in sorted(reqs):
-                u, v = pair
-                if not (adj.item(local[u]) and adj.item(local[v])):
-                    prune(pair, w)                   # permanent: not a common nbr
-                elif u in served or v in served:
-                    prune(pair, w)                   # permanent: endpoint clash
-                else:
-                    usable.append(pair)
-            if usable:
-                # a relay serves at most one new pair per round; contenders
-                # keep the color in their palettes and retry later
-                pair = usable[0]
-                tentative[pair].append(w)
-                messages += g.degree(w)              # grant broadcast
-        granted = {}
-        for pair, ws in tentative.items():
-            w = min(ws)   # handler keeps the lowest grant, releases the rest
-            granted[pair] = w
-            serving[w].update(pair)
-            messages += len(ws)                      # accept/release notices
-        for pair, w in granted.items():
-            relays[frozenset(pair)] = w
-            del pending[pair]
+    def relay_round(props, cands):
+        """One paired round: pair props[i] asks relay cands[i] (local
+        indices), each (pair, relay) at most once. Returns the granted pairs."""
+        u, v = pu[props], pv[props]
+        reject = ~(block[cands, u] & block[cands, v]) | served[cands, u] | served[cands, v]
+        pruned[props[reject], cands[reject]] = True
+        touched[props[reject]] = True
+        # a relay serves at most one new pair per round, its first usable one
+        # in (u, v) order; contenders keep the color and retry later
+        ok = ~reject
+        order = np.lexsort((props[ok], cands[ok]))
+        gw, first = np.unique(cands[ok][order], return_index=True)
+        gp = props[ok][order][first]
+        # grant broadcasts, then one accept/release notice per grant
+        messages = len(props) + int(degrees[gw].sum()) + len(gw)
+        # the handler keeps the lowest grant and releases the rest; `relays`
+        # takes the granted pairs by ascending relay
+        keep = np.sort(np.unique(gp, return_index=True)[1])
+        gp, gw = gp[keep], gw[keep]
+        served[gw, pu[gp]] = True
+        served[gw, pv[gp]] = True
+        for a, b, w in zip(ms[pu[gp]].tolist(), ms[pv[gp]].tolist(), ms[gw].tolist()):
+            relays[frozenset((a, b))] = w
         network.charge_phase("overlay_pair", 2, messages, grant_bits)
+        return gp
 
-    # duplicate candidates within one handler are dropped (not colored this
-    # round), mirroring the one-message-per-edge constraint
+    def run_out(p):
+        return SimError(f"overlay: pair {(ids[pu[p]], ids[pv[p]])} ran out of candidate relays")
+
+    pending = np.arange(len(pu))
     cap = cfg.overlay_round_mult * max(
         1, math.ceil(math.log2(max(2.0, math.log2(max(4, g.n)))))
     )
-    with network.streams.generators(list(shared)) as gens:
-        rngs = dict(zip(shared, gens))
-        for _ in range(cap):
-            if not pending:
-                break
-            proposals = {}
-            handler_picks = defaultdict(set)
-            for pair, apparent in pending.items():
-                handler = pair[1]
-                if not apparent:
-                    raise SimError(f"overlay: pair {pair} ran out of candidate relays")
-                w = apparent[int(rngs[handler].integers(len(apparent)))]
-                if w in handler_picks[handler]:
-                    continue  # same color sampled twice by one handler: skip round
-                handler_picks[handler].add(w)
-                proposals[pair] = [w]
-            relay_round(proposals)
+    for _ in range(cap):
+        if not pending.size:
+            break
+        h = pv[pending]
+        sizes = nbr_ptr[h + 1] - nbr_ptr[h]
+        t = np.flatnonzero(touched[pending])
+        apparent = block[h[t]] & ~pruned[pending[t]]
+        sizes[t] = apparent.sum(axis=1)
+        empty = np.flatnonzero(sizes == 0)
+        stop = empty[0] if empty.size else len(pending)
+        # pass j draws for every handler's j-th pending pair
+        draws = np.zeros(len(pending), dtype=np.int64)
+        order = np.argsort(h[:stop], kind="stable")
+        _, first, lens = np.unique(h[order], return_index=True, return_counts=True)
+        for j in range(lens.max(initial=0)):
+            sel = order[first[lens > j] + j]
+            draws[sel] = network.streams.integers(ms[h[sel]], sizes[sel])
+        if stop < len(pending):
+            raise run_out(pending[stop])
+        w = nbr_col[nbr_ptr[h] + draws]
+        w[t] = np.argmax(np.cumsum(apparent, axis=1) > draws[t, None], axis=1)
+        # duplicate candidates within one handler are dropped (not colored
+        # this round), mirroring the one-message-per-edge constraint
+        kept = np.sort(np.unique(h * s + w, return_index=True)[1])
+        pending = np.setdiff1d(pending, relay_round(pending[kept], w[kept]),
+                               assume_unique=True)
 
-        # finishing: parallel candidates per remaining pair
-        k = math.ceil(3 * math.log2(max(2, g.n)))
-        finish_cap = 8
-        for _ in range(finish_cap):
-            if not pending:
-                break
-            proposals = {}
-            handler_edges = defaultdict(set)
-            for pair, apparent in pending.items():
-                handler = pair[1]
-                if not apparent:
-                    raise SimError(f"overlay: pair {pair} ran out of candidate relays")
-                cands = multi_trial(network, handler, k, apparent,
-                                    rngs[handler])
-                kept = [w for w in cands if w not in handler_edges[handler]]
-                handler_edges[handler].update(kept)
-                proposals[pair] = kept
-            relay_round(proposals)
-    if pending:
+    # finishing: parallel candidates per remaining pair
+    k = math.ceil(3 * math.log2(max(2, g.n)))
+    finish_cap = 8
+    handlers = np.unique(pv[pending])
+    if handlers.size:
+        with network.streams.generators(ms[handlers]) as gens:
+            rngs = dict(zip(handlers.tolist(), gens))
+            for _ in range(finish_cap):
+                if not pending.size:
+                    break
+                props, cands = [], []
+                handler_edges = defaultdict(set)
+                apparent = block[pv[pending]] & ~pruned[pending]
+                for p, row in zip(pending.tolist(), apparent):
+                    h = pv.item(p)
+                    palette = np.flatnonzero(row).tolist()
+                    if not palette:
+                        raise run_out(p)
+                    # multi_trial's draws depend only on the palette's size,
+                    # so local indices stand in for the relays' IDs
+                    kept = [w for w in multi_trial(network, ids[h], k, palette, rngs[h])
+                            if w not in handler_edges[h]]
+                    handler_edges[h].update(kept)
+                    props += [p] * len(kept)
+                    cands += kept
+                granted = relay_round(np.array(props, dtype=np.int64),
+                                      np.array(cands, dtype=np.int64))
+                pending = np.setdiff1d(pending, granted, assume_unique=True)
+    if pending.size:
         raise SimError(
             f"overlay construction failed for {len(pending)} non-edges "
             f"in clique {ac_id}"
@@ -248,8 +238,7 @@ def compute_overlay(network: Network, clique, leader: int,
     congestion = defaultdict(int)
     for pair, w in relays.items():
         for u in pair:
-            e = (min(u, w), max(u, w))
-            congestion[e] += 1
+            congestion[(u, w) if u < w else (w, u)] += 1
     return CliqueOverlay(
         ac_id, members, relays, dict(congestion),
         construction_rounds=network.round_counter - rounds_before,
@@ -257,39 +246,47 @@ def compute_overlay(network: Network, clique, leader: int,
 
 
 def verify_overlay(graph, overlay: CliqueOverlay) -> OverlayReport:
-    """Brute-force audit: full non-edge coverage, relay adjacency, and the
-    per-edge congestion bound."""
+    """Independent audit from the graph and the relay map alone: full
+    non-edge coverage, relay adjacency, and the per-edge congestion bound."""
     rep = OverlayReport()
-    members = overlay.members
-    ms = np.array(sorted(members), dtype=np.int64)
-    local, marked = _member_adjacency(graph, ms)
-    covered = set(overlay.relays)
-    iu, iv = np.nonzero(np.triu(~marked, 1))
-    for u, v in zip(ms[iu].tolist(), ms[iv].tolist()):
-        if frozenset((u, v)) not in covered:
-            rep.violations.append(f"non-edge ({u},{v}) has no relay")
+    ms = np.array(sorted(overlay.members), dtype=np.int64)
+    s = len(ms)
+    block = _adjacency_block(graph, ms)
     relays = overlay.relays
-    ends = [(*sorted(pair), w) for pair, w in relays.items()]
-    ids = np.array(ends, dtype=np.int64).reshape(-1, 3)
-    # local indices of (u, v, w); a triple with a node outside the clique is
-    # looked up in the graph itself
-    loc = np.where((ids >= 0) & (ids < graph.n), local[ids.clip(0, graph.n - 1)], -1)
-    inside = (loc >= 0).all(axis=1)
-    lu, lv, lw = loc[inside].T
-    via = np.zeros(len(ids), dtype=bool)
-    via[inside] = marked[lu, lw] & marked[lv, lw]
-    congestion = defaultdict(int)
-    for (pair, w), (u, v, _), ok, checked in zip(relays.items(), ends, via.tolist(),
-                                                  inside.tolist()):
-        if w not in members:
+    ends = np.array([(*sorted(pair), w) for pair, w in relays.items()],
+                    dtype=np.int64).reshape(-1, 3)
+    loc = np.minimum(np.searchsorted(ms, ends), s - 1)
+    inside = ms[loc] == ends
+    lu, lv, lw = loc.T
+    iu, iv = np.nonzero(np.triu(~block, 1))
+    pair_in = inside[:, 0] & inside[:, 1]
+    relayed = np.zeros((s, s), dtype=bool)
+    relayed[lu[pair_in], lv[pair_in]] = True
+    covered = relayed[iu, iv]
+    for u, v in zip(ms[iu[~covered]].tolist(), ms[iv[~covered]].tolist()):
+        rep.violations.append(f"non-edge ({u},{v}) has no relay")
+    # a triple with a node outside the clique is looked up in the graph itself
+    triple_in = inside.all(axis=1)
+    via = np.zeros(len(ends), dtype=bool)
+    via[triple_in] = block[lu, lw][triple_in] & block[lv, lw][triple_in]
+    for i in np.flatnonzero(~triple_in):
+        u, v, w = ends[i].tolist()
+        via[i] = graph.has_edge(u, w) and graph.has_edge(v, w)
+    for i in np.flatnonzero(~inside[:, 2] | ~via):
+        u, v, w = ends[i].tolist()
+        if not inside[i, 2]:
             rep.violations.append(f"relay {w} for ({u},{v}) outside the clique")
-        if not (ok if checked else graph.has_edge(u, w) and graph.has_edge(v, w)):
+        if not via[i]:
             rep.violations.append(f"relay {w} not adjacent to both of ({u},{v})")
-        for x in pair:
-            congestion[(x, w) if x < w else (w, x)] += 1
-    for e, c in congestion.items():
-        if c > 2:
-            rep.violations.append(f"edge {e} lies on {c} relay paths")
+    # every relay path uses the edges (u, w) and (v, w)
+    x, w = ends[:, :2].ravel(), np.repeat(ends[:, 2], 2)
+    nodes = np.unique(ends)
+    lo = np.searchsorted(nodes, np.minimum(x, w))
+    hi = np.searchsorted(nodes, np.maximum(x, w))
+    counts = np.bincount(lo * len(nodes) + hi)
+    for e in np.flatnonzero(counts > 2).tolist():
+        a, b = nodes[list(divmod(e, len(nodes)))].tolist()
+        rep.violations.append(f"edge {(a, b)} lies on {counts[e]} relay paths")
     return rep
 
 

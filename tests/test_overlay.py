@@ -1,10 +1,13 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from congestcolor.config import SimConfig
 from congestcolor.graphs import Graph, generate, make_palettes
 from congestcolor.overlay import (
     CliqueOverlay,
     RoutingRequest,
+    _adjacency_block,
     compute_overlay,
     route,
     verify_overlay,
@@ -27,6 +30,22 @@ def net_for(g, seed=0, **cfg):
 
 def remove_edges(g, drop):
     return Graph(g.n, [e for e in g.edges() if e not in set(drop)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    p=st.floats(0.0, 1.0),
+    graph_seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_adjacency_block_matches_has_edge(n, p, graph_seed, data):
+    # members are a random subset, so their CSR rows also hold neighbors
+    # outside it, which the block must drop
+    g = generate("gnp", {"n": n, "p": p}, seed=graph_seed)
+    members = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    block = _adjacency_block(g, np.array(members, dtype=np.int64))
+    assert block.tolist() == [[g.has_edge(u, v) for v in members] for u in members]
 
 
 def test_complete_clique_empty_overlay():
@@ -103,7 +122,11 @@ def test_verify_catches_bad_relay():
         {},
     )
     rep = verify_overlay(g, ov)
-    assert any("not adjacent" in v for v in rep.violations)
+    # 2 misses the pair's higher end, 0 its lower end
+    assert rep.violations == [
+        "relay 2 not adjacent to both of (0,1)",
+        "relay 0 not adjacent to both of (1,2)",
+    ]
 
 
 def test_verify_catches_missing_coverage():

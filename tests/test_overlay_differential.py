@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import overlay_reference
 from overlay_reference import compute_overlay_reference
 from congestcolor.acd import compute_acd
 from congestcolor.config import SimConfig
 from congestcolor.graphs import Graph, generate, make_palettes
 from congestcolor.overlay import compute_overlay
-from congestcolor.sim import SimError, new_network
+from congestcolor.sim import SimError, Streams, new_network
+from congestcolor.trials import multi_trial
 
 
 def outcome(compute, g, cliques, seed, epsilon=0.05, through_acd=False, **cfg):
@@ -121,15 +123,60 @@ def test_clique_given_as_range_and_as_set():
         assert any(event == "overlay_warn" for _, _, event, _ in trace)
 
 
-def test_finishing_rounds():
+def spy_checkouts(monkeypatch):
+    """The rows of every `Streams.generators` checkout from now on."""
+    checkouts = []
+    generators = Streams.generators
+
+    def spy(self, rows):
+        checkouts.append(np.asarray(rows).tolist())
+        return generators(self, rows)
+
+    monkeypatch.setattr(Streams, "generators", spy)
+    return checkouts
+
+
+def round_cap(g, mult):
+    return mult * max(1, math.ceil(math.log2(max(2.0, math.log2(max(4, g.n))))))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_no_checkout_within_cap(monkeypatch, seed):
+    # the capped rounds draw from the stream arrays; a clique they finish
+    # checks out no generator
+    g = generate(
+        "planted_almost_cliques", {"k": 1, "delta": 128, "removal": 0.01}, seed=seed
+    )
+    checkouts = spy_checkouts(monkeypatch)
+    result, stats, _, _ = outcome(compute_overlay, g, whole(g), seed)
+    assert result[0][2]
+    mult = SimConfig().overlay_round_mult
+    assert stats["per_phase"]["overlay_pair"] <= 2 * round_cap(g, mult)
+    assert checkouts == []
+
+
+def test_finishing_rounds(monkeypatch):
     # with the paired-round cap halved, pairs are left over for the
     # parallel-candidate finishing rounds
     g = generate(
         "planted_almost_cliques", {"k": 1, "delta": 128, "removal": 0.05}, seed=2
     )
     _, stats, _, _ = assert_same(g, whole(g), 2, overlay_round_mult=1)
-    cap = max(1, math.ceil(math.log2(max(2.0, math.log2(max(4, g.n))))))
-    assert stats["per_phase"]["overlay_pair"] > 2 * cap
+    assert stats["per_phase"]["overlay_pair"] > 2 * round_cap(g, 1)
+    # the reference calls multi_trial for every pair pending in a finishing
+    # round, so its callers are the handlers left after the cap: exactly
+    # those rows are checked out, in one checkout
+    finishing = set()
+
+    def record(network, v, *args):
+        finishing.add(v)
+        return multi_trial(network, v, *args)
+
+    monkeypatch.setattr(overlay_reference, "multi_trial", record)
+    outcome(compute_overlay_reference, g, whole(g), 2, overlay_round_mult=1)
+    checkouts = spy_checkouts(monkeypatch)
+    outcome(compute_overlay, g, whole(g), 2, overlay_round_mult=1)
+    assert finishing and checkouts == [sorted(finishing)]
 
 
 @pytest.mark.parametrize("edges, n, first", [
@@ -145,6 +192,14 @@ def test_no_common_neighbor_raises_alike(edges, n, first):
     assert result == [
         ("error", f"non-edge ({first[0]},{first[1]}) has no common neighbor in clique")
     ]
+
+
+def test_run_out_of_candidates_raises_alike():
+    # a star around 3: relay 3 serves (0,1) first, then rejects (0,2) for the
+    # shared endpoint 0, and 3 was the only candidate of (0,2)
+    g = Graph(4, [(0, 3), (1, 3), (2, 3)])
+    result, _, _, _ = assert_same(g, [(range(4), 3)], 0)
+    assert result == [("error", "overlay: pair (0, 2) ran out of candidate relays")]
 
 
 def test_grant_wider_than_bandwidth_raises_alike():
