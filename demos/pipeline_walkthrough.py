@@ -11,7 +11,7 @@ from congestcolor.acd import compute_acd, verify_acd
 from congestcolor.config import SimConfig
 from congestcolor.dense_sparse import color_dense_nodes, color_sparse_nodes
 from congestcolor.graphs import generate, make_palettes, verify_coloring
-from congestcolor.overlay import compute_overlay
+from congestcolor.overlay import compute_overlay, verify_overlay
 from congestcolor.sim import new_network
 from congestcolor.trials import slack_generation
 
@@ -38,7 +38,7 @@ def main():
         overlays[ac] = ov
         print(f"  clique {ac}: {len(acd.cliques[ac])} members, "
               f"{len(ov.relays)} relayed non-edges, max congestion "
-              f"{max(ov.edge_congestion.values(), default=0)}")
+              f"{verify_overlay(g, ov).max_congestion}")
 
     colored = len(slack_generation(net))
     print(f"\nslack generation: {colored} sampled nodes colored one-shot")

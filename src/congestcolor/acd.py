@@ -32,6 +32,15 @@ from .sim import Network, SimError
 # in blocks of _PAIR_BUDGET // (Delta * reps) nodes
 _PAIR_BUDGET = 1 << 20
 
+# detection slack delta: epsilon = 27 * delta and eta = epsilon / 108
+DELTA_ACD = 1.0 / 81.0
+# theory mode requires Delta >= C_THEORY * log^2 n
+C_THEORY = 1.0
+# practical-mode calibration; theory mode pins all three to 1.0 / 1 / 1.0
+SAMPLE_MULT = 4.0     # sampling probability min(1, SAMPLE_MULT / sqrt(Delta))
+GOSSIP_REPS = 8       # gossip repetitions, whose counts accumulate
+MARGIN = 0.5          # detection thresholds at MARGIN times the expectation
+
 
 @dataclass
 class AlmostCliqueDecomposition:
@@ -42,7 +51,9 @@ class AlmostCliqueDecomposition:
     epsilon: Fraction
     eta: Fraction
     skipped: bool = False  # small-Delta instances route everything to sparse
-    f_edges: list = field(default_factory=list)  # detected similar-pair edges
+    # detected similar-pair edges, one (u, w) row each with u < w, ascending
+    f_edges: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 2), dtype=np.int64))
 
     _home: dict | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -58,27 +69,24 @@ class AlmostCliqueDecomposition:
         return self._home.get(v)
 
 
-def compute_acd(network: Network, delta: float | None = None) -> AlmostCliqueDecomposition:
+def compute_acd(network: Network) -> AlmostCliqueDecomposition:
     """Build the decomposition in a constant number of simulated rounds.
 
-    delta is the detection slack parameter; epsilon = 27*delta and
+    The detection slack is delta = DELTA_ACD; epsilon = 27*delta and
     eta = epsilon/108 are derived from it. For Delta < 16 the square-root
     thresholds degenerate, so the whole graph goes to the sparse set (the
     small-degree pipeline branch handles that regime anyway).
     """
     g = network.graph
     cfg = network.config
-    if delta is None:
-        delta = cfg.delta_acd
-    if not 0.0 < delta < 1.0 / 80.0:
-        raise SimError(f"acd delta {delta} outside (0, 1/80)")
+    delta = DELTA_ACD
     eps = Fraction(delta).limit_denominator(10**9) * 27
     eta = eps / 108
     big_d = g.delta
     if big_d < 2:
         raise SimError("acd needs Delta >= 2")
     if cfg.mode == "theory":
-        floor = cfg.c_theory * math.log2(max(2, g.n)) ** 2
+        floor = C_THEORY * math.log2(max(2, g.n)) ** 2
         if big_d < floor:
             raise SimError(
                 f"theory mode requires Delta >= c*log^2 n = {floor:.1f}, got {big_d}"
@@ -97,11 +105,11 @@ def compute_acd(network: Network, delta: float | None = None) -> AlmostCliqueDec
     # expected gossip counts and never separate (the analysis assumes
     # Delta >> log^2 n). Practical mode oversamples S, repeats the gossip, and
     # puts the thresholds at a fixed fraction of the expectation; theory mode
-    # pins all three knobs so the computation below is the literal algorithm.
+    # pins all three so the computation below is the literal algorithm.
     if cfg.mode == "theory":
         s_mult, reps, margin = 1.0, 1, 1.0
     else:
-        s_mult, reps, margin = cfg.acd_sample_mult, cfg.acd_gossip_reps, cfg.acd_margin
+        s_mult, reps, margin = SAMPLE_MULT, GOSSIP_REPS, MARGIN
     p_s = min(1.0, s_mult / sqrt_d)
     exp_s_deg = big_d * p_s
     forward_p = min(1.0, exp_s_deg / (2.0 * sqrt_d))
@@ -146,7 +154,6 @@ def compute_acd(network: Network, delta: float | None = None) -> AlmostCliqueDec
     network.charge_phase("acd_fedges", 1, int(notified.size), 1)
     u, w = np.divmod(notified, n)
     f_u, f_w = np.divmod(_sorted_unique(np.minimum(u, w) * n + np.maximum(u, w)), n)
-    f_edges = list(zip(f_u.tolist(), f_w.tolist()))
     f_src = np.concatenate([f_u, f_w])  # both directions of every F-edge
     f_dst = np.concatenate([f_w, f_u])
 
@@ -229,7 +236,7 @@ def compute_acd(network: Network, delta: float | None = None) -> AlmostCliqueDec
     if network.trace is not None:
         network.log(-1, "acd", f"cliques={len(cliques)} sparse={len(sparse)}")
     return AlmostCliqueDecomposition(
-        g, sparse, cliques, leaders, eps, eta, f_edges=f_edges
+        g, sparse, cliques, leaders, eps, eta, f_edges=np.column_stack([f_u, f_w])
     )
 
 

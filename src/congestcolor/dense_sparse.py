@@ -32,6 +32,11 @@ from .small_degree import color_small_degree
 from .trials import random_color_trial, trial_loop, try_color_round
 
 _LAYER_TAG = 0xD15E
+K1 = 5      # sparse warm-up trials
+K2 = 4      # sparse trials per ceil(log2 log2 Delta)
+K3 = 4      # bulk-layer trials per ceil(log2 log2 n)
+K5 = 4      # synchronized trials per middle layer, per ceil(log2 log2 Delta)
+C_P = 2.0   # sub-palette size C_P * max(1, |R_i| / lambda_{i+1}) * log2 n
 
 
 class LayerSchedule(NamedTuple):
@@ -137,13 +142,12 @@ def clique_index(network: Network, acd) -> np.ndarray:
 def color_sparse_nodes(network: Network, acd) -> dict:
     """Trial loop on the sparse set, then hand the low-degree remainder to the
     component machinery. Returns round usage."""
-    cfg = network.config
     start = network.stats.rounds
     sparse = sorted(acd.v_sparse)
     if sparse:
-        trial_loop(network, sparse, cfg.k1, "sparse_warmup")
+        trial_loop(network, sparse, K1, "sparse_warmup")
         dlog = math.ceil(math.log2(max(2.0, math.log2(max(4, network.graph.delta)))))
-        rest = trial_loop(network, sparse, cfg.k2 * dlog, "sparse_loglog")
+        rest = trial_loop(network, sparse, K2 * dlog, "sparse_loglog")
         if rest:
             color_small_degree(network, rest)
     return {"rounds": network.stats.rounds - start}
@@ -154,7 +158,6 @@ def synchronized_color_trial(network: Network, acd, overlays, layer: int,
     """One leader-coordinated trial iteration on the given layer, run on all
     cliques in parallel; `clique_of` is `clique_index(network, acd)`. Returns
     tried/colored/assignment-failure counts."""
-    cfg = network.config
     logn = _log2n(network.graph.n)
     if not 1 <= layer <= schedule.t - 1:
         raise SimError(
@@ -180,7 +183,7 @@ def synchronized_color_trial(network: Network, acd, overlays, layer: int,
                     continue
                 lam_next = schedule.lambdas[layer + 1]
                 pi_size = math.ceil(
-                    cfg.c_p * max(1.0, len(active) / max(lam_next, 1e-9)) * logn
+                    C_P * max(1.0, len(active) / max(lam_next, 1e-9)) * logn
                 )
                 sub = {}
                 with network.streams.generators(active) as gens:
@@ -218,8 +221,8 @@ def synchronized_color_trial(network: Network, acd, overlays, layer: int,
 def _layer_metrics(network: Network, clique_of, layer: int):
     """Over the layer's uncolored clique members (its live set): the most
     live neighbors in other cliques that one live node has, the most live
-    neighbors that any node has, and the live count. `clique_of` holds each
-    node's clique index, -1 outside every clique."""
+    neighbors that one live node has, and the live count. `clique_of` holds
+    each node's clique index, -1 outside every clique."""
     g = network.graph
     # clique index of each uncolored layer member, else -1
     live_of = np.where((network.layer == layer) & (network.color < 0),
@@ -227,7 +230,7 @@ def _layer_metrics(network: Network, clique_of, layer: int):
     live = np.flatnonzero(live_of >= 0)
     src, nbrs = g.rows(live)
     # r_i(u) = |N(u) cap live|: count incidences from the live side
-    max_r = int(np.bincount(nbrs, minlength=g.n).max())
+    max_r = int(np.bincount(nbrs, minlength=g.n)[live].max(initial=0))
     ext = (live_of[nbrs] >= 0) & (live_of[nbrs] != live_of[live][src])
     max_e = int(np.bincount(src[ext], minlength=live.size).max(initial=0))
     return max_e, max_r, live.size
@@ -259,7 +262,7 @@ def color_dense_nodes(network: Network, acd, overlays, seed: int = 0) -> dict:
 
     # bulk layer: log-log many plain trials, then the low-degree finisher
     r0 = dense[network.layer[dense] == 0]
-    loops = cfg.k3 * math.ceil(math.log2(_log2n(g.n)))
+    loops = K3 * math.ceil(math.log2(_log2n(g.n)))
     for it in range(loops):
         active = r0[network.color[r0] < 0].tolist()
         if not active:
@@ -279,7 +282,7 @@ def color_dense_nodes(network: Network, acd, overlays, seed: int = 0) -> dict:
     for layer in range(1, schedule.t):
         active = dense[network.layer[dense] == layer]
         trial_loop(network, active, cfg.k4, "dense_layer_rct")
-        iters = cfg.k5 * math.ceil(math.log2(max(2.0, math.log2(max(4, g.delta)))))
+        iters = K5 * math.ceil(math.log2(max(2.0, math.log2(max(4, g.delta)))))
         for it in range(iters):
             res = synchronized_color_trial(network, acd, overlays, layer,
                                            schedule, clique_of)

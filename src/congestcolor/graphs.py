@@ -128,9 +128,6 @@ class PaletteAssignment:
     colorspace_size: int
     lists: dict = field(default_factory=dict)
 
-    def palette(self, v: int) -> frozenset:
-        return self.lists[v]
-
 
 # ---------------------------------------------------------------------------
 # generation

@@ -112,7 +112,7 @@ def run_pipeline(graph: Graph, palettes: PaletteAssignment, config: SimConfig,
                 overlays[ac] = ov
                 overlay_info[str(ac)] = {
                     "relays": len(ov.relays),
-                    "max_congestion": max(ov.edge_congestion.values(), default=0),
+                    "max_congestion": rep.max_congestion,
                 }
         slack_generation(net)
         color_sparse_nodes(net, acd)

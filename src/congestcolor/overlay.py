@@ -39,6 +39,10 @@ from .trials import multi_trial
 
 # bytes of the row-AND temporary in the common-neighbor check
 _AND_BUDGET = 1 << 24
+# the paired rounds stop after ROUND_MULT * ceil(log2 log2 n) rounds
+ROUND_MULT = 2
+# `route` refuses a node carrying more than LOAD_CAP * Delta payload units
+LOAD_CAP = 4
 
 
 @dataclass
@@ -46,13 +50,12 @@ class CliqueOverlay:
     clique: int                      # AC-ID
     members: frozenset
     relays: dict                     # frozenset({u,v}) -> relay node w
-    edge_congestion: dict            # (min,max) graph edge -> path count
-    construction_rounds: int = 0
 
 
 @dataclass
 class OverlayReport:
     violations: list = field(default_factory=list)
+    max_congestion: int = 0          # most relay paths on one graph edge
 
     @property
     def ok(self) -> bool:
@@ -101,7 +104,6 @@ def compute_overlay(network: Network, clique, leader: int,
             network.log(leader, "overlay_warn",
                         f"epsilon {epsilon:.4f} above 1/15; slack margin not guaranteed")
 
-    rounds_before = network.round_counter
     # leader-rooted renumbering so members know |C| and all member IDs, after
     # which one neighbor-exchange round reveals each node's non-neighbors
     network.tree_aggregate(members, leader, phase="overlay_setup")
@@ -171,7 +173,7 @@ def compute_overlay(network: Network, clique, leader: int,
         return SimError(f"overlay: pair {(ids[pu[p]], ids[pv[p]])} ran out of candidate relays")
 
     pending = np.arange(len(pu))
-    cap = cfg.overlay_round_mult * max(
+    cap = ROUND_MULT * max(
         1, math.ceil(math.log2(max(2.0, math.log2(max(4, g.n)))))
     )
     for _ in range(cap):
@@ -234,20 +236,13 @@ def compute_overlay(network: Network, clique, leader: int,
             f"overlay construction failed for {len(pending)} non-edges "
             f"in clique {ac_id}"
         )
-
-    congestion = defaultdict(int)
-    for pair, w in relays.items():
-        for u in pair:
-            congestion[(u, w) if u < w else (w, u)] += 1
-    return CliqueOverlay(
-        ac_id, members, relays, dict(congestion),
-        construction_rounds=network.round_counter - rounds_before,
-    )
+    return CliqueOverlay(ac_id, members, relays)
 
 
 def verify_overlay(graph, overlay: CliqueOverlay) -> OverlayReport:
     """Independent audit from the graph and the relay map alone: full
-    non-edge coverage, relay adjacency, and the per-edge congestion bound."""
+    non-edge coverage, relay adjacency, and the per-edge congestion bound.
+    The report also records the largest per-edge congestion."""
     rep = OverlayReport()
     ms = np.array(sorted(overlay.members), dtype=np.int64)
     s = len(ms)
@@ -284,6 +279,7 @@ def verify_overlay(graph, overlay: CliqueOverlay) -> OverlayReport:
     lo = np.searchsorted(nodes, np.minimum(x, w))
     hi = np.searchsorted(nodes, np.maximum(x, w))
     counts = np.bincount(lo * len(nodes) + hi)
+    rep.max_congestion = int(counts.max(initial=0))
     for e in np.flatnonzero(counts > 2).tolist():
         a, b = nodes[list(divmod(e, len(nodes)))].tolist()
         rep.violations.append(f"edge {(a, b)} lies on {counts[e]} relay paths")
@@ -301,7 +297,7 @@ def route(network: Network, overlay: CliqueOverlay, requests) -> int:
     """Deliver the requests over direct edges and relay paths, greedily
     packing each edge up to the bit budget per round; returns rounds used."""
     g = network.graph
-    cap = network.config.load_cap * g.delta
+    cap = LOAD_CAP * g.delta
     load = defaultdict(int)
     for r in requests:
         if r.src not in overlay.members or r.dst not in overlay.members:

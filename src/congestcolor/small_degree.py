@@ -33,6 +33,14 @@ import sympy
 from .sim import Network, SimError
 from .trials import trial_loop
 
+# shattering runs K6 * ceil(log2 Delta_H) trials per group
+K6 = 4
+# a shattered component above N_MAX_COMPONENT nodes means shattering failed
+N_MAX_COMPONENT = 20000
+# clusters run INSTANCE_MULT * log2 n parallel trial instances
+INSTANCE_MULT = 2.0
+
+
 # ---------------------------------------------------------------------------
 # cluster decomposition
 
@@ -42,7 +50,6 @@ class Cluster:
     nodes: frozenset
     root: int
     tree_depth: int                  # depth of the BFS tree from root
-    diameter: int
     class_index: int = -1
 
 
@@ -60,13 +67,12 @@ def shatter(network: Network, subgraph) -> list:
     """Trial-color the subgraph until the uncolored remainder falls apart into
     small connected components, which are returned as node lists.
 
-    Runs k6*ceil(log2 Delta_H) trial iterations, splits the survivors into a
+    Runs K6*ceil(log2 Delta_H) trial iterations, splits the survivors into a
     low- and a high-degree group at half the maximum uncolored degree, gives
     the high-degree group the same number of extra iterations, and then
     flood-fills the remaining uncolored components (charging, in rounds, the
     largest eccentricity of a component's lowest-ID node).
     """
-    cfg = network.config
     g = network.graph
     h = np.fromiter(subgraph, dtype=np.int64)
     h = h[network.color[h] < 0]
@@ -81,7 +87,7 @@ def shatter(network: Network, subgraph) -> list:
         keep = in_h[nbrs] & (network.color[nbrs] < 0)
         return np.bincount(src[keep], minlength=len(nodes))
 
-    iters = cfg.k6 * max(1, math.ceil(math.log2(max(2, udeg(h).max()))))
+    iters = K6 * max(1, math.ceil(math.log2(max(2, udeg(h).max()))))
     survivors = np.array(trial_loop(network, h, iters, "small_shatter"),
                          dtype=np.int64)
     if survivors.size:
@@ -112,10 +118,10 @@ def decompose_clusters(network: Network, component,
     r_cluster around the lowest-ID remaining node, then greedy-color the
     cluster adjacency graph into independent classes."""
     comp = sorted(component)
-    if len(comp) > network.config.n_max_component:
+    if len(comp) > N_MAX_COMPONENT:
         raise SimError(
             f"component of size {len(comp)} exceeds the "
-            f"{network.config.n_max_component}-node ceiling: shattering failed"
+            f"{N_MAX_COMPONENT}-node ceiling: shattering failed"
         )
     if r_cluster is None:
         r_cluster = max(1, math.ceil(math.log2(max(2, len(comp))) ** 2))
@@ -129,8 +135,7 @@ def decompose_clusters(network: Network, component,
         ball = g.bfs(root, remaining, r_cluster)
         nodes = frozenset(ball)
         tree_depth = max(ball.values())
-        clusters.append(Cluster(nodes, root, tree_depth,
-                                _induced_diameter(g, nodes)))
+        clusters.append(Cluster(nodes, root, tree_depth))
         remaining -= nodes
         # one round per level searched (the last one, past the ball, finds
         # nothing unless r_cluster cut the search off), plus one
@@ -160,17 +165,13 @@ def _adjacent(g, a, b):
     return any(not big.isdisjoint(g.neighbors(v)) for v in small)
 
 
-def _induced_diameter(g, nodes):
-    return max(max(g.bfs(s, nodes).values()) for s in nodes)
-
-
 # ---------------------------------------------------------------------------
 # colorspace reduction
 
 
 @dataclass
 class ColorMap:
-    n_bound: int          # N: size/diameter bound used in the formulas
+    n_bound: int          # N: size bound used in the formulas
     c0: float
     p: int
     degree: int           # polynomial degree d = ceil(p / N^5)
@@ -307,8 +308,8 @@ def reduce_colorspace(network: Network, cluster: Cluster) -> ColorMap:
     """Deterministically pick an evaluation point g whose induced map keeps
     every member's list size intact (hard-checked)."""
     lists = _cluster_lists(network, cluster)
-    n_bound = max(3, len(cluster.nodes), cluster.diameter + 1,
-                  max(len(l) for l in lists.values()))
+    # a cluster's diameter is below its size, so the size bounds both
+    n_bound = max(3, len(cluster.nodes), max(len(l) for l in lists.values()))
     c0, p, degree = _field(n_bound, network.palettes.colorspace_size)
     ell = max(1, math.ceil(math.log2(p)))
     scale = n_bound ** 5            # fixed-point denominator for expectations
@@ -355,7 +356,7 @@ def _color_classes(network: Network, jobs: list, branch, fresh=False) -> None:
     `fresh`, nothing was colored since the maps were certified, so class 0
     takes its lists from their snapshots; later classes re-derive stale maps."""
     instances = max(1, math.ceil(
-        network.config.instance_mult * math.log2(max(4, network.graph.n))))
+        INSTANCE_MULT * math.log2(max(4, network.graph.n))))
     for j in range(max((len(d.classes) for d, _ in jobs), default=0)):
         groups = []
         for k, (decomp, colormaps) in enumerate(jobs):
@@ -410,7 +411,7 @@ def _packed_trials(network: Network, groups: list, instances: int,
     keep = (nodes[at] == nbr) & (owner[at] == owner[src])
     ea, eb = src[keep], at[keep]
     sizes = [sum(len(c.nodes) for c, _, _ in job) for _, job in groups]
-    iters = [max(1, math.ceil(network.config.instance_mult * math.log2(max(
+    iters = [max(1, math.ceil(INSTANCE_MULT * math.log2(max(
         4, max(cmap.n_bound for _, cmap, _ in job))))) for _, job in groups]
     row_iters = np.repeat(iters, sizes)
 

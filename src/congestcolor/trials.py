@@ -7,6 +7,9 @@ import numpy as np
 
 from .sim import Network, SimError
 
+# slack generation samples each node with probability P_SAMPLE
+P_SAMPLE = 0.05
+
 
 def try_color_round(network: Network, picks, phase: str = "rct") -> list:
     """One simultaneous color-trial exchange for all nodes in `picks`, a
@@ -85,14 +88,13 @@ def trial_loop(network: Network, nodes, iters: int, phase: str) -> list:
 
 
 def slack_generation(network: Network) -> list:
-    """Sampled one-shot trial: each node independently joins S with the
-    configured probability and one random color trial runs on G[S]. Non-sampled
+    """Sampled one-shot trial: each node independently joins S with
+    probability P_SAMPLE and one random color trial runs on G[S]. Non-sampled
     nodes keep their color lists but see neighbors' permanent colors."""
     if (network.color >= 0).any():
         raise SimError("slack_generation must run on a fully uncolored network")
-    p = network.config.p_sample
     sampled = np.flatnonzero(
-        network.streams.random(np.arange(network.graph.n)) < p)
+        network.streams.random(np.arange(network.graph.n)) < P_SAMPLE)
     if network.trace is not None:
         network.log(-1, "slack_sample", str(len(sampled)))
     return random_color_trial(network, sampled, phase="slack_generation")

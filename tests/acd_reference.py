@@ -14,32 +14,32 @@ import math
 from collections import Counter, defaultdict
 from fractions import Fraction
 
+import numpy as np
+
+from congestcolor import acd
 from congestcolor.acd import AlmostCliqueDecomposition
 from congestcolor.graphs import Graph
 from congestcolor.sim import Network, SimError
 
 
-def compute_acd_reference(network: Network, delta: float | None = None) -> AlmostCliqueDecomposition:
+def compute_acd_reference(network: Network) -> AlmostCliqueDecomposition:
     """Build the decomposition in a constant number of simulated rounds.
 
-    delta is the detection slack parameter; epsilon = 27*delta and
+    The detection slack is delta = acd.DELTA_ACD; epsilon = 27*delta and
     eta = epsilon/108 are derived from it. For Delta < 16 the square-root
     thresholds degenerate, so the whole graph goes to the sparse set (the
     small-degree pipeline branch handles that regime anyway).
     """
     g = network.graph
     cfg = network.config
-    if delta is None:
-        delta = cfg.delta_acd
-    if not 0.0 < delta < 1.0 / 80.0:
-        raise SimError(f"acd delta {delta} outside (0, 1/80)")
+    delta = acd.DELTA_ACD
     eps = Fraction(delta).limit_denominator(10**9) * 27
     eta = eps / 108
     big_d = g.delta
     if big_d < 2:
         raise SimError("acd needs Delta >= 2")
     if cfg.mode == "theory":
-        floor = cfg.c_theory * math.log2(max(2, g.n)) ** 2
+        floor = acd.C_THEORY * math.log2(max(2, g.n)) ** 2
         if big_d < floor:
             raise SimError(
                 f"theory mode requires Delta >= c*log^2 n = {floor:.1f}, got {big_d}"
@@ -57,11 +57,11 @@ def compute_acd_reference(network: Network, delta: float | None = None) -> Almos
     # expected gossip counts and never separate (the analysis assumes
     # Delta >> log^2 n). Practical mode oversamples S, repeats the gossip, and
     # puts the thresholds at a fixed fraction of the expectation; theory mode
-    # pins all three knobs so the computation below is the literal algorithm.
+    # pins all three so the computation below is the literal algorithm.
     if cfg.mode == "theory":
         s_mult, reps, margin = 1.0, 1, 1.0
     else:
-        s_mult, reps, margin = cfg.acd_sample_mult, cfg.acd_gossip_reps, cfg.acd_margin
+        s_mult, reps, margin = acd.SAMPLE_MULT, acd.GOSSIP_REPS, acd.MARGIN
     p_s = min(1.0, s_mult / sqrt_d)
     exp_s_deg = big_d * p_s
     forward_p = min(1.0, exp_s_deg / (2.0 * sqrt_d))
@@ -110,9 +110,9 @@ def compute_acd_reference(network: Network, delta: float | None = None) -> Almos
                 f_nbrs[w].add(u)
                 notify_msgs += 1
     network.charge_phase("acd_fedges", 1, notify_msgs, 1)
-    f_edges = sorted(
+    f_edges = np.array(sorted(
         (u, w) for u in range(n) for w in f_nbrs[u] if u < w
-    )
+    ), dtype=np.int64).reshape(-1, 2)
 
     # step 5: dense core of S
     dense_threshold = margin * (1.0 - 2.0 * delta) * exp_s_deg

@@ -1,9 +1,10 @@
 """Brute-force references over a `Graph`: the per-edge loop constructor and
 the edge-list generators that `Graph` and `graphs.generate` are checked
 against, the writers whose files `graphs.load_edge_list` and
-`graphs.load_palettes` read back, local sparsity, the similarity oracle, a
-sequential greedy list coloring, and the per-edge loop form of
-`graphs.verify_coloring` that the array version is checked against."""
+`graphs.load_palettes` read back, local sparsity, the similarity oracle, the
+diameter of an induced subgraph, a sequential greedy list coloring, and the
+per-edge loop form of `graphs.verify_coloring` that the array version is
+checked against."""
 
 from fractions import Fraction
 
@@ -150,6 +151,12 @@ def similarity_oracle(graph, u: int, v: int, gamma: float) -> bool:
     """gamma-similar: |N(u) cap N(v)| >= (1-gamma)*Delta."""
     inter = len(set(graph.neighbors(u)).intersection(graph.neighbors(v)))
     return inter >= (1.0 - gamma) * graph.delta
+
+
+def induced_diameter(graph, nodes) -> int:
+    """Most hops between two of `nodes` inside the subgraph they induce, by
+    one BFS from each; `nodes` must induce a connected subgraph."""
+    return max(max(graph.bfs(s, nodes).values()) for s in nodes)
 
 
 def greedy_list_coloring(graph, palettes) -> dict:

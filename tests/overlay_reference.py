@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 
+from congestcolor import overlay
 from congestcolor.overlay import CliqueOverlay
 from congestcolor.sim import Network, SimError
 from congestcolor.trials import multi_trial
@@ -46,7 +47,6 @@ def compute_overlay_reference(network: Network, clique, leader: int,
             network.log(leader, "overlay_warn",
                         f"epsilon {epsilon:.4f} above 1/15; slack margin not guaranteed")
 
-    rounds_before = network.round_counter
     # leader-rooted renumbering so members know |C| and all member IDs, after
     # which one neighbor-exchange round reveals each node's non-neighbors
     network.tree_aggregate(members, leader, phase="overlay_setup")
@@ -120,7 +120,7 @@ def compute_overlay_reference(network: Network, clique, leader: int,
 
     # duplicate candidates within one handler are dropped (not colored this
     # round), mirroring the one-message-per-edge constraint
-    cap = cfg.overlay_round_mult * max(
+    cap = overlay.ROUND_MULT * max(
         1, math.ceil(math.log2(max(2.0, math.log2(max(4, g.n)))))
     )
     for _ in range(cap):
@@ -161,13 +161,4 @@ def compute_overlay_reference(network: Network, clique, leader: int,
             f"overlay construction failed for {len(pending)} non-edges "
             f"in clique {ac_id}"
         )
-
-    congestion = defaultdict(int)
-    for pair, w in relays.items():
-        for u in pair:
-            e = (min(u, w), max(u, w))
-            congestion[e] += 1
-    return CliqueOverlay(
-        ac_id, members, relays, dict(congestion),
-        construction_rounds=network.round_counter - rounds_before,
-    )
+    return CliqueOverlay(ac_id, members, relays)

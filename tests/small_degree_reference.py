@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from congestcolor import small_degree
 from congestcolor.sim import Network, SimError
 from congestcolor.small_degree import (
     Cluster,
@@ -34,8 +35,7 @@ def reduce_colorspace(network: Network, cluster: Cluster) -> ColorMap:
     """Deterministically pick an evaluation point g whose induced map keeps
     every member's list size intact (hard-checked)."""
     lists = _cluster_lists(network, cluster)
-    n_bound = max(3, len(cluster.nodes), cluster.diameter + 1,
-                  max(len(l) for l in lists.values()))
+    n_bound = max(3, len(cluster.nodes), max(len(l) for l in lists.values()))
     c0, p, degree = _field(n_bound, network.palettes.colorspace_size)
 
     # collision sets: the evaluation points where some pair of one node's
@@ -94,10 +94,10 @@ def color_clusters(network: Network, decomposition: ClusterDecomposition,
     """Color every cluster, class by class, via packed parallel trial
     instances; each cluster adopts an instance that colored all its members.
     Returns per-phase round usage."""
-    cfg = network.config
     start = network.stats.rounds
     n = network.graph.n
-    instances = max(1, math.ceil(cfg.instance_mult * math.log2(max(4, n))))
+    instances = max(1, math.ceil(
+        small_degree.INSTANCE_MULT * math.log2(max(4, n))))
     for cls in decomposition.classes:
         live = [c for c in cls
                 if any(network.color.item(v) < 0 for v in c.nodes)]
@@ -113,7 +113,7 @@ def color_clusters(network: Network, decomposition: ClusterDecomposition,
                         colormaps[cluster] = reduce_colorspace(network, cluster)
                 plans.append((cluster, colormaps[cluster], lists))
 
-        iters = max(1, math.ceil(cfg.instance_mult * math.log2(max(
+        iters = max(1, math.ceil(small_degree.INSTANCE_MULT * math.log2(max(
             4, max(p[1].n_bound for p in plans)))))
         width = max(1, math.ceil(math.log2(max(p[1].p for p in plans))))
         pack = max(1, network.bandwidth_bits // width)

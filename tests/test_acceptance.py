@@ -78,7 +78,7 @@ def test_criterion_02_overlay_congestion_at_most_two():
         rep = verify_overlay(g, ov)
         if not rep.ok:
             violations.extend(rep.violations[:2])
-        if max(ov.edge_congestion.values(), default=0) > 2:
+        if rep.max_congestion > 2:
             violations.append(f"seed {seed}: congestion above 2")
     assert not violations, violations[:5]
 

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from congestcolor import acd as acd_module
 from congestcolor.acd import (
     AlmostCliqueDecomposition,
     compute_acd,
@@ -86,18 +88,12 @@ def test_small_delta_skipped():
     assert net.round_counter == 0
 
 
-def test_theory_mode_delta_floor():
+def test_theory_mode_delta_floor(monkeypatch):
+    monkeypatch.setattr(acd_module, "C_THEORY", 10.0)
     g = generate("clique_union", {"k": 2, "size": 17}, seed=0)  # Delta = 16
-    net = net_for(g, 0, mode="theory", c_theory=10.0)
+    net = net_for(g, 0, mode="theory")
     with pytest.raises(SimError, match="theory mode"):
         compute_acd(net)
-
-
-def test_delta_parameter_validated():
-    g = generate("complete", {"n": 40}, seed=0)
-    net = net_for(g, 0)
-    with pytest.raises(SimError):
-        compute_acd(net, delta=0.5)
 
 
 def test_at_most_one_adoption():
@@ -222,7 +218,8 @@ def test_f_edge_soundness():
     for seed in range(20):
         net = net_for(g, seed)
         acd = compute_acd(net)
-        for u, v in acd.f_edges:
+        assert acd.f_edges.dtype == np.int64 and acd.f_edges.shape[1] == 2
+        for u, v in acd.f_edges.tolist():
             total += 1
             if similarity_oracle(g, u, v, 0.1):
                 friendly += 1

@@ -205,7 +205,8 @@ def test_layer_metrics_match_per_node_loop(n, p, seed, k, layer, data):
     max_e = max((sum(1 for w in g.neighbors(u)
                      if w in live and clique_of[w] != clique_of[u])
                  for u in live), default=0)
-    max_r = max(sum(1 for w in g.neighbors(x) if w in live) for x in range(n))
+    max_r = max((sum(1 for w in g.neighbors(u) if w in live) for u in live),
+                default=0)
     assert _layer_metrics(net, clique_of, layer) == (max_e, max_r, len(live))
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from congestcolor import overlay
 from congestcolor.config import SimConfig
 from congestcolor.graphs import Graph, generate, make_palettes
 from congestcolor.overlay import (
@@ -52,8 +53,9 @@ def test_complete_clique_empty_overlay():
     g = generate("complete", {"n": 20}, seed=0)
     net = net_for(g)
     ov = compute_overlay(net, range(20), 0, epsilon=0.05)
-    assert not ov.relays and not ov.edge_congestion
-    assert verify_overlay(g, ov).ok
+    rep = verify_overlay(g, ov)
+    assert not ov.relays and rep.max_congestion == 0
+    assert rep.ok
 
 
 def test_single_missing_edge():
@@ -63,8 +65,9 @@ def test_single_missing_edge():
     assert len(ov.relays) == 1
     w = ov.relays[frozenset((3, 7))]
     assert g.has_edge(3, w) and g.has_edge(7, w)
-    assert sorted(ov.edge_congestion.values()) == [1, 1]
-    assert verify_overlay(g, ov).ok
+    rep = verify_overlay(g, ov)
+    assert rep.max_congestion == 1
+    assert rep.ok
 
 
 def test_planted_clique_congestion_two():
@@ -78,7 +81,7 @@ def test_planted_clique_congestion_two():
         ov = compute_overlay(net, range(g.n), 0, epsilon=0.05)
         rep = verify_overlay(g, ov)
         assert rep.ok, rep.violations[:3]
-        assert max(ov.edge_congestion.values(), default=0) <= 2
+        assert 1 <= rep.max_congestion <= 2
 
 
 def test_construction_rounds_bounded():
@@ -88,8 +91,9 @@ def test_construction_rounds_bounded():
             "planted_almost_cliques", {"k": 1, "delta": 64, "removal": 0.05}, seed=1
         )
         net = net_for(g, 2, bandwidth_bits=4 * n_exp)
-        ov = compute_overlay(net, range(g.n), 0, epsilon=0.05)
-        rounds.append(ov.construction_rounds)
+        before = net.round_counter
+        compute_overlay(net, range(g.n), 0, epsilon=0.05)
+        rounds.append(net.round_counter - before)
     assert max(rounds) <= 60
 
 
@@ -119,7 +123,6 @@ def test_verify_catches_bad_relay():
     ov = CliqueOverlay(
         0, frozenset(range(10)),
         {frozenset((0, 1)): 2, frozenset((1, 2)): 0},
-        {},
     )
     rep = verify_overlay(g, ov)
     # 2 misses the pair's higher end, 0 its lower end
@@ -131,7 +134,7 @@ def test_verify_catches_bad_relay():
 
 def test_verify_catches_missing_coverage():
     g = remove_edges(generate("complete", {"n": 10}, seed=0), [(0, 1)])
-    ov = CliqueOverlay(0, frozenset(range(10)), {}, {})
+    ov = CliqueOverlay(0, frozenset(range(10)), {})
     rep = verify_overlay(g, ov)
     assert any("no relay" in v for v in rep.violations)
 
@@ -147,10 +150,10 @@ def test_verify_catches_congestion_three():
             frozenset((0, 2)): 9,
             frozenset((0, 3)): 9,
         },
-        {},
     )
     rep = verify_overlay(g, ov)
     assert any("relay paths" in v for v in rep.violations)
+    assert rep.max_congestion == 3
 
 
 def test_route_empty():
@@ -175,9 +178,10 @@ def test_route_via_relay_two_rounds():
     assert route(net, ov, [RoutingRequest(0, 1)]) == 2
 
 
-def test_route_load_cap():
+def test_route_load_cap(monkeypatch):
+    monkeypatch.setattr(overlay, "LOAD_CAP", 1)
     g = generate("complete", {"n": 8}, seed=0)
-    net = net_for(g, load_cap=1)
+    net = net_for(g)
     ov = compute_overlay(net, range(8), 0, epsilon=0.05)
     reqs = [RoutingRequest(0, v, size=4) for v in range(1, 8)]
     with pytest.raises(SimError, match="cap"):
@@ -205,7 +209,7 @@ def test_overwide_color_routed_over_several_rounds():
     # fits one color exactly
     g = generate("complete", {"n": 8}, seed=0)
     pal = make_palettes(g, seed=1, colorspace_size=2 ** 20)
-    ov = CliqueOverlay(0, frozenset(range(8)), {}, {})
+    ov = CliqueOverlay(0, frozenset(range(8)), {})
     reqs = [RoutingRequest(0, v, size=2) for v in range(1, 8)]
     rounds = {}
     for budget in (8, 21):
@@ -232,5 +236,5 @@ def test_subpalette_gather_rounds_within_cap():
 
 
 def test_dump_format():
-    ov = CliqueOverlay(0, frozenset(range(5)), {frozenset((1, 3)): 2}, {})
+    ov = CliqueOverlay(0, frozenset(range(5)), {frozenset((1, 3)): 2})
     assert dump_overlay(ov) == "1 3 via 2\n"

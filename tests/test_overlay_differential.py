@@ -17,6 +17,7 @@ from overlay_reference import compute_overlay_reference
 from congestcolor.acd import compute_acd
 from congestcolor.config import SimConfig
 from congestcolor.graphs import Graph, generate, make_palettes
+from congestcolor import overlay
 from congestcolor.overlay import compute_overlay
 from congestcolor.sim import SimError, Streams, new_network
 from congestcolor.trials import multi_trial
@@ -40,8 +41,6 @@ def outcome(compute, g, cliques, seed, epsilon=0.05, through_acd=False, **cfg):
                 ov.clique,
                 sorted(ov.members),
                 list(ov.relays.items()),
-                list(ov.edge_congestion.items()),
-                ov.construction_rounds,
             ))
     except SimError as exc:
         result.append(("error", str(exc)))
@@ -150,18 +149,18 @@ def test_no_checkout_within_cap(monkeypatch, seed):
     checkouts = spy_checkouts(monkeypatch)
     result, stats, _, _ = outcome(compute_overlay, g, whole(g), seed)
     assert result[0][2]
-    mult = SimConfig().overlay_round_mult
-    assert stats["per_phase"]["overlay_pair"] <= 2 * round_cap(g, mult)
+    assert stats["per_phase"]["overlay_pair"] <= 2 * round_cap(g, overlay.ROUND_MULT)
     assert checkouts == []
 
 
 def test_finishing_rounds(monkeypatch):
     # with the paired-round cap halved, pairs are left over for the
     # parallel-candidate finishing rounds
+    monkeypatch.setattr(overlay, "ROUND_MULT", 1)
     g = generate(
         "planted_almost_cliques", {"k": 1, "delta": 128, "removal": 0.05}, seed=2
     )
-    _, stats, _, _ = assert_same(g, whole(g), 2, overlay_round_mult=1)
+    _, stats, _, _ = assert_same(g, whole(g), 2)
     assert stats["per_phase"]["overlay_pair"] > 2 * round_cap(g, 1)
     # the reference calls multi_trial for every pair pending in a finishing
     # round, so its callers are the handlers left after the cap: exactly
@@ -173,9 +172,9 @@ def test_finishing_rounds(monkeypatch):
         return multi_trial(network, v, *args)
 
     monkeypatch.setattr(overlay_reference, "multi_trial", record)
-    outcome(compute_overlay_reference, g, whole(g), 2, overlay_round_mult=1)
+    outcome(compute_overlay_reference, g, whole(g), 2)
     checkouts = spy_checkouts(monkeypatch)
-    outcome(compute_overlay, g, whole(g), 2, overlay_round_mult=1)
+    outcome(compute_overlay, g, whole(g), 2)
     assert finishing and checkouts == [sorted(finishing)]
 
 
@@ -223,4 +222,6 @@ def test_matches_reference_on_planted_sweep(delta, removal, round_mult, graph_se
         {"k": 1, "delta": delta, "removal": removal},
         seed=graph_seed,
     )
-    assert_same(g, whole(g), seed, overlay_round_mult=round_mult)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(overlay, "ROUND_MULT", round_mult)
+        assert_same(g, whole(g), seed)

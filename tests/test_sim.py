@@ -206,14 +206,29 @@ def test_untraced_coloring_logs_nothing(monkeypatch):
 
 
 def test_config_text_round_trip():
-    cfg = SimConfig(mode="theory", bandwidth_bits=40, k1=7, c_p=2.5, trace=True)
+    cfg = SimConfig(mode="theory", bandwidth_bits=40, k4=7, c_layer=2.5, trace=True)
     back = SimConfig.from_text(cfg.to_text())
     assert back == cfg
-    assert type(back.k1) is int and type(back.c_p) is float
+    assert type(back.k4) is int and type(back.c_layer) is float
     assert SimConfig.from_text("trace=no\n").trace is False
-    for text in ("nope=1\n", "max_agg_bits=4096\n"):
-        with pytest.raises(ValueError, match="unknown config key"):
-            SimConfig.from_text(text)
+    # k1 is now the module constant dense_sparse.K1
+    for key in ("nope", "max_agg_bits", "k1"):
+        with pytest.raises(ValueError, match=f"unknown config key {key}$"):
+            SimConfig.from_text(f"{key}=5\n")
+
+
+def test_config_fields_are_pinned():
+    """A field stays only while a caller outside tests/ sets or reads it, named
+    beside it here; a value nobody varies is a constant beside its reader."""
+    assert [f.name for f in fields(SimConfig)] == [
+        "mode",            # the CLI's --mode
+        "b_factor",        # perfbench/run.py's bandwidth audit
+        "bandwidth_bits",  # perfbench/run.py's bandwidth audit
+        "k4",              # perfbench/workloads.py (dense_sync sets 0)
+        "c_layer",         # perfbench/workloads.py, demos/
+        "c_small",         # perfbench/workloads.py, demos/sweep_spec.json
+        "trace",           # Network's event log, set from a CLI config file
+    ]
 
 
 def test_every_config_field_is_read():

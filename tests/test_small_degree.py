@@ -3,6 +3,7 @@ import math
 import pytest
 import sympy
 
+from congestcolor import small_degree
 from congestcolor.config import SimConfig
 from congestcolor.graphs import (
     Graph,
@@ -14,6 +15,7 @@ from congestcolor.graphs import (
 from congestcolor.harness import run_pipeline
 from congestcolor.sim import SimError, new_network
 import small_degree_reference as reference
+from graph_oracles import induced_diameter
 from congestcolor.small_degree import (
     ClusterDecomposition,
     _evaluation_point,
@@ -27,13 +29,14 @@ from congestcolor.small_degree import (
 )
 
 
-def dump_decomposition(decomp: ClusterDecomposition) -> str:
+def dump_decomposition(g, decomp: ClusterDecomposition) -> str:
     lines = []
     for i, cls in enumerate(decomp.classes):
         for c in cls:
             members = " ".join(str(v) for v in sorted(c.nodes))
             lines.append(
-                f"class {i} root {c.root} diameter {c.diameter}: {members}"
+                f"class {i} root {c.root} diameter "
+                f"{induced_diameter(g, c.nodes)}: {members}"
             )
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -77,15 +80,16 @@ def test_path_ball_carving_radius_two():
     assert [sorted(c.nodes) for c in clusters] == [
         [0, 1, 2], [3, 4, 5], [6, 7, 8]
     ]
-    assert all(c.diameter <= 2 for c in clusters)
+    assert all(induced_diameter(g, c.nodes) <= 2 for c in clusters)
     # adjacent balls must land in different classes
     assert clusters[0].class_index != clusters[1].class_index
     assert clusters[1].class_index != clusters[2].class_index
 
 
-def test_component_size_ceiling():
+def test_component_size_ceiling(monkeypatch):
+    monkeypatch.setattr(small_degree, "N_MAX_COMPONENT", 5)
     g = generate("path", {"n": 9}, seed=0)
-    net = net_for(g, n_max_component=5)
+    net = net_for(g)
     with pytest.raises(SimError, match="ceiling"):
         decompose_clusters(net, range(9))
 
@@ -273,7 +277,7 @@ def test_shatter_round_count_tracks_log_delta():
         counts[g.delta] = net.stats.per_phase.get("small_shatter", 0)
     deltas = sorted(counts)
     lo, hi = counts[deltas[0]], counts[deltas[-1]]
-    # twice the trial batches, each 2*k6*ceil(log2 Delta) iterations deep
+    # twice the trial batches, each 2*K6*ceil(log2 Delta) iterations deep
     for d, c in counts.items():
         assert c <= 2 * 2 * 4 * math.ceil(math.log2(max(2, d))) * 2
     assert hi <= 4 * lo
@@ -283,7 +287,7 @@ def test_dump_format():
     g = generate("path", {"n": 3}, seed=0)
     net = net_for(g)
     decomp = decompose_clusters(net, range(3), r_cluster=1)
-    text = dump_decomposition(decomp)
+    text = dump_decomposition(g, decomp)
     lines = text.strip().splitlines()
     assert all(line.startswith("class ") and ":" in line for line in lines)
     assert isinstance(decomp, ClusterDecomposition)
