@@ -16,6 +16,10 @@ own ledger, and the block then books, per phase, the most rounds any one
 branch spent in it, together with all branches' messages and the widest
 edge load. No ledger entry is ever negative.
 
+Color lists live in one pool: each distinct list is one row of sorted
+colors, and a node holds only its `list_id` and its own `removed` row, so
+nodes that share a list share its colors and its lookup keys.
+
 Per-node randomness is an independent stream derived from
 (master_seed, node id), so node scheduling order cannot perturb draws. Node
 v's stream is exactly `np.random.default_rng([master_seed, v])`, and the
@@ -303,9 +307,12 @@ class Network:
 
     Node state is held in arrays indexed by node id: `color` (-1 while
     uncolored), `udeg` (uncolored neighbors) and `layer` (-1 until a layer
-    partition sets it). Node v's list is row v of a CSR of sorted colors,
-    `pal_colors[pal_ptr[v]:pal_ptr[v + 1]]`; `removed` marks the entries that
-    a colored neighbor took, and `live` counts the rest of each row.
+    partition sets it). Each distinct color list is stored once, as a row of
+    the pool CSR of sorted colors, `pool_colors[pool_ptr[i]:pool_ptr[i + 1]]`,
+    and `list_id[v]` is the row of v's list; nodes with equal lists share a
+    row. Node v's own entries are `pal_ptr[v]:pal_ptr[v + 1]`, one per color
+    of its pool row in the same order: `removed` marks the entries that a
+    colored neighbor took, and `live` counts the rest of each node's row.
     """
 
     def __init__(self, graph: Graph, palettes: PaletteAssignment, config, seed: int):
@@ -327,26 +334,32 @@ class Network:
         self.color = np.full(n, -1, dtype=np.int64)
         self.udeg = graph.degrees.copy()
         self.layer = np.full(n, -1, dtype=np.int64)
-        lists = palettes.lists
-        sizes = np.fromiter((len(lists[v]) for v in range(n)), np.int64, n)
-        self.pal_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=self.pal_ptr[1:])
-        colors = np.fromiter(chain.from_iterable(lists[v] for v in range(n)),
-                             np.int64, int(self.pal_ptr[-1]))
+        # one pool row per distinct list: nodes whose lists are equal share it
+        rows = {}
+        self.list_id = np.fromiter(
+            (rows.setdefault(palettes.lists[v], len(rows)) for v in range(n)),
+            np.int64, n)
+        pool_sizes = np.fromiter(map(len, rows), np.int64, len(rows))
+        self.pool_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(pool_sizes, out=self.pool_ptr[1:])
+        colors = np.fromiter(chain.from_iterable(rows), np.int64,
+                             int(self.pool_ptr[-1]))
         if colors.size and colors.min() < 0:
             raise SimError("negative color in a list")
-        # entry key node * stride + color: sorting the keys sorts every row,
-        # and one searchsorted finds any (node, color) pair
+        # pool key list_id * stride + color: sorting the keys sorts every
+        # row, and one searchsorted finds any (list, color) pair
         self._stride = int(colors.max()) + 1 if colors.size else 1
-        if n * self._stride >= 1 << 63:
-            raise SimError(f"colors up to {self._stride - 1} on {n} nodes "
-                           f"overflow the 64-bit palette keys")
-        owner = np.repeat(np.arange(n, dtype=np.int64), sizes)
-        self._keys = owner * self._stride + colors
-        self._keys.sort()
-        self.pal_colors = self._keys - owner * self._stride
-        self.removed = np.zeros(colors.size, dtype=bool)
-        self.live = sizes
+        if len(rows) * self._stride >= 1 << 63:
+            raise SimError(f"colors up to {self._stride - 1} on {len(rows)} "
+                           f"distinct lists overflow the 64-bit palette keys")
+        row_of = np.repeat(np.arange(len(rows), dtype=np.int64), pool_sizes)
+        self._pool_keys = row_of * self._stride + colors
+        self._pool_keys.sort()
+        self.pool_colors = self._pool_keys - row_of * self._stride
+        self.live = pool_sizes[self.list_id]
+        self.pal_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.live, out=self.pal_ptr[1:])
+        self.removed = np.zeros(int(self.pal_ptr[-1]), dtype=bool)
         # node v's stream is row v, `np.random.default_rng([master_seed, v])`
         self.streams = Streams(seed_words([self.master_seed], np.arange(n)))
         self._tree_cache: dict = {}
@@ -411,21 +424,23 @@ class Network:
 
     def palette(self, v: int) -> list:
         """v's live colors, ascending."""
-        lo, hi = self.pal_ptr[v], self.pal_ptr[v + 1]
-        return self.pal_colors[lo:hi][~self.removed[lo:hi]].tolist()
+        lo, i = self.pal_ptr.item(v), self.pool_ptr.item(self.list_id.item(v))
+        k = self.pal_ptr.item(v + 1) - lo
+        return self.pool_colors[i:i + k][~self.removed[lo:lo + k]].tolist()
 
     def palette_size(self, v: int) -> int:
         return self.live.item(v)
 
     def _find(self, nodes, colors):
-        """Entry index of each (node, color) pair in the palette CSR, and
-        whether the color is on the node's list at all."""
+        """Entry index of each (node, color) pair in the nodes' `removed`
+        rows, and whether the color is on the node's list at all."""
         valid = (colors >= 0) & (colors < self._stride)
-        keys = nodes * self._stride + np.where(valid, colors, 0)
-        pos = np.searchsorted(self._keys, keys)
-        found = valid & (pos < self._keys.size)
-        found[found] = self._keys[pos[found]] == keys[found]
-        return pos, found
+        rows = self.list_id[nodes]
+        keys = rows * self._stride + np.where(valid, colors, 0)
+        pos = np.searchsorted(self._pool_keys, keys)
+        found = valid & (pos < self._pool_keys.size)
+        found[found] = self._pool_keys[pos[found]] == keys[found]
+        return pos - self.pool_ptr[rows] + self.pal_ptr[nodes], found
 
     def in_palettes(self, nodes, colors):
         """Mask: whether colors[i] is live in the palette of nodes[i]."""
@@ -438,12 +453,12 @@ class Network:
         sorted list until one is not removed."""
         if self.live.item(v) <= 0:
             raise SimError("empty palette")
-        lo = self.pal_ptr.item(v)
+        lo, row = self.pal_ptr.item(v), self.pool_ptr.item(self.list_id.item(v))
         k = self.pal_ptr.item(v + 1) - lo
         while True:
-            i = lo + int(rng.integers(k))
-            if not self.removed.item(i):
-                return self.pal_colors.item(i)
+            i = int(rng.integers(k))
+            if not self.removed.item(lo + i):
+                return self.pool_colors.item(row + i)
 
     def sample_colors(self, v: int, rng, count: int) -> list:
         """Uniform subset of v's live palette, without replacement, in draw
@@ -497,10 +512,12 @@ class Network:
         np.subtract.at(self.udeg, nbrs, 1)
         # strip each new color from the neighbors' lists that hold it
         pos, found = self._find(nbrs, colors[src])
-        gone = np.sort(pos[found])
-        gone = gone[~self.removed[gone] & (np.diff(gone, prepend=-1) != 0)]
-        self.removed[gone] = True
-        np.subtract.at(self.live, self._keys[gone] // self._stride, 1)
+        gone, owner = pos[found], nbrs[found]
+        order = np.argsort(gone)
+        gone, owner = gone[order], owner[order]
+        fresh = ~self.removed[gone] & (np.diff(gone, prepend=-1) != 0)
+        self.removed[gone[fresh]] = True
+        np.subtract.at(self.live, owner[fresh], 1)
 
     def coloring(self) -> dict:
         done = np.flatnonzero(self.color >= 0)

@@ -65,13 +65,14 @@ def random_color_trial(network: Network, active, phase: str = "rct") -> list:
     # uniform entries of the full sorted lists, redrawn while removed: one
     # `integers` call per node and draw, as `Network.sample_color` makes them
     lo = network.pal_ptr[active]
-    entry = lo.copy()
+    size = network.pal_ptr[active + 1] - lo
+    offset = np.zeros(active.size, dtype=np.int64)
     todo = np.arange(active.size)
     while todo.size:
-        entry[todo] = lo[todo] + network.streams.integers(
-            active[todo], network.pal_ptr[active[todo] + 1] - lo[todo])
-        todo = todo[network.removed[entry[todo]]]
-    picks = np.column_stack([active, network.pal_colors[entry]])
+        offset[todo] = network.streams.integers(active[todo], size[todo])
+        todo = todo[network.removed[lo[todo] + offset[todo]]]
+    row = network.pool_ptr[network.list_id[active]]
+    picks = np.column_stack([active, network.pool_colors[row + offset]])
     return try_color_round(network, picks, phase=phase)
 
 

@@ -5,15 +5,22 @@ uncolored degree and live palette must equal what a brute-force pass over
 `coloring()` derives; one batched `assign_colors` must leave the same state
 as the same assignments made one at a time; and palette sampling must draw
 the same colors, from the same stream positions, as the tuple-plus-removed-set
-formulation below.
+formulation below. Equal lists share one pool row, found by value, and a
+node's `list_id` must keep overlapping lists apart.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from congestcolor.config import SimConfig
-from congestcolor.graphs import generate, make_palettes
-from congestcolor.sim import new_network
+from congestcolor.graphs import (
+    PaletteAssignment,
+    generate,
+    load_palettes,
+    make_palettes,
+)
+from congestcolor.sim import SimError, new_network
 from congestcolor.trials import try_color_round
 
 
@@ -165,3 +172,97 @@ def test_sampling_matches_reference(inst, data):
             ref_sample_colors(base, removed, ref, count)
         # both consumed the same number of draws
         assert ours.integers(2 ** 62) == ref.integers(2 ** 62)
+
+
+@st.composite
+def pooled_instances(draw):
+    """Every node holds its own copy of one of a few lists over a small
+    colorspace, so lists overlap and equal ones are equal only by value."""
+    n = draw(st.integers(1, 24))
+    p = draw(st.sampled_from([0.0, 0.2, 0.6]))
+    g = generate("gnp", {"n": n, "p": p}, seed=draw(st.integers(0, 2 ** 16)))
+    u_size = draw(st.integers(1, 6))
+    shapes = draw(st.lists(st.sets(st.integers(1, u_size), min_size=1),
+                           min_size=1, max_size=4))
+    lists = {v: frozenset(sorted(draw(st.sampled_from(shapes))))
+             for v in range(n)}
+    return g, PaletteAssignment(u_size, lists), draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pooled_instances(), st.data())
+def test_in_palettes_matches_lists(inst, data):
+    g, pal, seed = inst
+    net = new_network(g, pal, SimConfig(), seed)
+    assert net.pool_ptr.size - 1 == len(set(pal.lists.values()))
+    for _ in range(data.draw(st.integers(0, 3))):
+        random_step(net, data)
+    # every node against every color from -1 to two past the stride: colors
+    # on no list, color 0 and colors >= the stride are never live
+    top = max(max(s) for s in pal.lists.values())
+    nodes, colors = np.divmod(np.arange(g.n * (top + 4)), top + 4)
+    colors -= 1
+    want = []
+    for v, c in zip(nodes.tolist(), colors.tolist()):
+        base, removed = base_and_removed(net, v)
+        want.append(c in base and c not in removed)
+    assert net.in_palettes(nodes, colors).tolist() == want
+
+
+def test_overlapping_lists_kept_apart():
+    g = generate("path", {"n": 3}, seed=0)
+    pal = PaletteAssignment(4, {0: frozenset({1, 2, 3}), 1: frozenset({2, 3, 4}),
+                                2: frozenset({1, 2, 3})})
+    net = new_network(g, pal, SimConfig(), 0)
+    assert net.list_id.tolist() == [0, 1, 0]
+    nodes = np.array([0, 0, 1, 1, 2, 2])
+    cols = np.array([1, 4, 1, 4, 1, 4])
+    assert net.in_palettes(nodes, cols).tolist() == [True, False, False, True,
+                                                     True, False]
+    # node 1 taking 3 strips it from its neighbors' rows only
+    net.assign_colors([1], [3])
+    assert [net.palette(v) for v in range(3)] == [[1, 2], [2, 3, 4], [1, 2]]
+
+
+def test_pool_rows():
+    g = generate("gnp", {"n": 60, "p": 0.1}, seed=3)
+    # shared lists: one row per distinct list size
+    for kind in ("delta_plus_one", "deg_plus_one"):
+        pal = make_palettes(g, 1, mode="shared", kind=kind)
+        sizes = {len(s) for s in pal.lists.values()}
+        assert kind == "delta_plus_one" or len(sizes) > 1
+        assert new_network(g, pal, SimConfig(), 1).pool_ptr.size - 1 == len(sizes)
+    # random lists on the n^2 colorspace are all distinct: one row per node
+    pal = make_palettes(g, 1, mode="random")
+    assert len(set(pal.lists.values())) == g.n
+    assert new_network(g, pal, SimConfig(), 1).pool_ptr.size - 1 == g.n
+    # identical lines read through load_palettes: equal frozensets, one row
+    pal = load_palettes("U 5\n" + "".join(f"{v}: 3 1 2\n" for v in range(g.n)))
+    net = new_network(g, pal, SimConfig(), 1)
+    assert net.pool_ptr.tolist() == [0, 3]
+    assert net.pool_colors.tolist() == [1, 2, 3]
+    assert net.list_id.tolist() == [0] * g.n
+    assert net.pal_ptr[-1] == 3 * g.n
+
+
+def test_negative_color_rejected():
+    g = generate("path", {"n": 2}, seed=0)
+    pal = PaletteAssignment(3, {0: frozenset({1, 2}), 1: frozenset({-1, 2})})
+    with pytest.raises(SimError, match="negative color in a list"):
+        new_network(g, pal, SimConfig(), 0)
+
+
+def test_key_overflow_counts_distinct_lists():
+    big = 2 ** 62
+    g = generate("path", {"n": 3}, seed=0)
+    # one list shared by every node is one pool row, whose keys fit
+    shared = PaletteAssignment(big, {v: frozenset({1, big}) for v in range(3)})
+    net = new_network(g, shared, SimConfig(), 0)
+    assert net.in_palettes(np.array([0, 2, 1]), np.array([big, big, 2])).tolist() \
+        == [True, True, False]
+    # two distinct lists: keys up to 2 * (2**62 + 1) - 1 overflow
+    two = PaletteAssignment(big, {0: frozenset({1, big}), 1: frozenset({2, big}),
+                                  2: frozenset({1, big})})
+    with pytest.raises(SimError, match=f"colors up to {big} on 2 distinct lists "
+                                       f"overflow the 64-bit palette keys"):
+        new_network(g, two, SimConfig(), 0)

@@ -85,14 +85,19 @@ def test_planted_clique_congestion_two():
 
 
 def test_construction_rounds_bounded():
+    # n grows with n_exp through the number of planted cliques of the same
+    # delta, and the round cap and candidate counts grow with n; the last
+    # clique's overlay is built at each size
     rounds = []
     for n_exp in (8, 10, 12):
-        g = generate(
-            "planted_almost_cliques", {"k": 1, "delta": 64, "removal": 0.05}, seed=1
-        )
+        k = 2 ** n_exp // 65
+        g = generate("planted_almost_cliques",
+                     {"k": k, "delta": 64, "removal": 0.05, "inter_p": 0.0}, seed=1)
+        assert g.n == 65 * k
         net = net_for(g, 2, bandwidth_bits=4 * n_exp)
+        clique = range(g.n - 65, g.n)
         before = net.round_counter
-        compute_overlay(net, range(g.n), 0, epsilon=0.05)
+        compute_overlay(net, clique, clique[0], epsilon=0.05)
         rounds.append(net.round_counter - before)
     assert max(rounds) <= 60
 
