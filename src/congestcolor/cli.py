@@ -81,6 +81,10 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.graph) as fh:
         graph = load_edge_list(fh.read())
+    palettes = None
+    if args.palettes:
+        with open(args.palettes) as fh:
+            palettes = load_palettes(fh.read())
     coloring = {}
     with open(args.coloring) as fh:
         for i, line in enumerate(fh, 1):
@@ -88,7 +92,11 @@ def cmd_verify(args) -> int:
                 continue
             try:
                 v, c = map(int, line.split())
-                problem = f"node {v} is listed twice" if v in coloring else ""
+                problem = (f"node {v} is listed twice" if v in coloring
+                           else f"node {v} is not in the {graph.n}-node graph"
+                           if not 0 <= v < graph.n
+                           else f"node {v} has no list in {args.palettes}"
+                           if palettes and v not in palettes.lists else "")
             except ValueError:
                 problem = f"expected '<node> <color>', got {line.strip()!r}"
             if problem:
@@ -96,10 +104,7 @@ def cmd_verify(args) -> int:
                       file=sys.stderr)
                 return 2
             coloring[v] = c
-    if args.palettes:
-        with open(args.palettes) as fh:
-            palettes = load_palettes(fh.read())
-    else:
+    if palettes is None:
         # no lists supplied: audit properness only, against a permissive list
         colors = set(coloring.values()) or {1}
         palettes = PaletteAssignment(

@@ -185,31 +185,28 @@ def synchronized_color_trial(network: Network, acd, overlays, layer: int,
                 pi_size = math.ceil(
                     C_P * max(1.0, len(active) / max(lam_next, 1e-9)) * logn
                 )
-                sub = {}
-                with network.streams.generators(active) as gens:
-                    for v, rng in zip(active, gens):
-                        size = min(pi_size, network.palette_size(v))
-                        if size < pi_size and network.trace is not None:
-                            network.log(v, "subpalette_clamp", f"{pi_size}->{size}")
-                        sub[v] = network.sample_colors(v, rng, size)
+                sizes = np.minimum(pi_size, network.live[active])
+                if network.trace is not None:
+                    for v in np.array(active)[sizes < pi_size].tolist():
+                        network.log(v, "subpalette_clamp", f"{pi_size}->{network.live[v]}")
+                sub = dict(zip(active, network.sample_colors(active, sizes)))
                 ship = [RoutingRequest(v, leader, size=len(sub[v]))
                         for v in active if v != leader]
                 if ship:
                     route(network, overlays[ac], ship)
                 taken = set()
                 granted = []
-                with network.streams.generators([leader]) as (leader_rng,):
-                    for v in active:            # ascending-ID assignment order
-                        avail = [c for c in sub[v] if c not in taken]
-                        if not avail:
-                            failures += 1
-                            if network.trace is not None:
-                                network.log(v, "assignment_failure", f"layer={layer}")
-                            continue
-                        c = avail[int(leader_rng.integers(len(avail)))]
-                        taken.add(c)
-                        picks[v] = c
-                        granted.append(v)
+                for v in active:            # ascending-ID assignment order
+                    avail = [c for c in sub[v] if c not in taken]
+                    if not avail:
+                        failures += 1
+                        if network.trace is not None:
+                            network.log(v, "assignment_failure", f"layer={layer}")
+                        continue
+                    c = avail[network.streams.integers([leader], [len(avail)]).item()]
+                    taken.add(c)
+                    picks[v] = c
+                    granted.append(v)
                 back = [RoutingRequest(leader, v, size=1)
                         for v in granted if v != leader]
                 if back:

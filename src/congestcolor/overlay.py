@@ -20,10 +20,10 @@ proposals are adjudicated in one array pass over (pair, relay) entries.
 The node streams see a fixed sequence of draws. In each capped round, every
 pending pair makes one `integers` call on its handler's stream, a handler's
 pairs in non-edge order: pass j of the round draws for the j-th pending pair
-of every handler in one `Streams.integers` call. In each finishing round,
-every pending pair makes one `permutation` call (`multi_trial` on its sorted
-palette), in non-edge order, on generators checked out only for the handlers
-that still have a pending pair after the cap.
+of every handler in one `Streams.integers` call. Each finishing round is one
+`Streams.permutations` call over the pending pairs' handlers, in non-edge
+order: a pair's candidates are the first entries of a permutation of its
+apparent palette.
 """
 
 from __future__ import annotations
@@ -35,13 +35,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sim import Network, SimError
-from .trials import multi_trial
 
 # bytes of the row-AND temporary in the common-neighbor check
 _AND_BUDGET = 1 << 24
 # the paired rounds stop after ROUND_MULT * ceil(log2 log2 n) rounds
 ROUND_MULT = 2
-# `route` refuses a node carrying more than LOAD_CAP * Delta payload units
+# theory-mode `route` refuses a node carrying more than LOAD_CAP * Delta units
 LOAD_CAP = 4
 
 
@@ -169,7 +168,7 @@ def compute_overlay(network: Network, clique, leader: int,
         network.charge_phase("overlay_pair", 2, messages, grant_bits)
         return gp
 
-    def run_out(p):
+    def exhausted(p):
         return SimError(f"overlay: pair {(ids[pu[p]], ids[pv[p]])} ran out of candidate relays")
 
     pending = np.arange(len(pu))
@@ -194,7 +193,7 @@ def compute_overlay(network: Network, clique, leader: int,
             sel = order[first[lens > j] + j]
             draws[sel] = network.streams.integers(ms[h[sel]], sizes[sel])
         if stop < len(pending):
-            raise run_out(pending[stop])
+            raise exhausted(pending[stop])
         w = nbr_col[nbr_ptr[h] + draws]
         w[t] = np.argmax(np.cumsum(apparent, axis=1) > draws[t, None], axis=1)
         # duplicate candidates within one handler are dropped (not colored
@@ -203,34 +202,30 @@ def compute_overlay(network: Network, clique, leader: int,
         pending = np.setdiff1d(pending, relay_round(pending[kept], w[kept]),
                                assume_unique=True)
 
-    # finishing: parallel candidates per remaining pair
+    # finishing: parallel candidates per remaining pair, the first k entries
+    # of a permutation of its apparent palette
     k = math.ceil(3 * math.log2(max(2, g.n)))
-    finish_cap = 8
-    handlers = np.unique(pv[pending])
-    if handlers.size:
-        with network.streams.generators(ms[handlers]) as gens:
-            rngs = dict(zip(handlers.tolist(), gens))
-            for _ in range(finish_cap):
-                if not pending.size:
-                    break
-                props, cands = [], []
-                handler_edges = defaultdict(set)
-                apparent = block[pv[pending]] & ~pruned[pending]
-                for p, row in zip(pending.tolist(), apparent):
-                    h = pv.item(p)
-                    palette = np.flatnonzero(row).tolist()
-                    if not palette:
-                        raise run_out(p)
-                    # multi_trial's draws depend only on the palette's size,
-                    # so local indices stand in for the relays' IDs
-                    kept = [w for w in multi_trial(network, ids[h], k, palette, rngs[h])
-                            if w not in handler_edges[h]]
-                    handler_edges[h].update(kept)
-                    props += [p] * len(kept)
-                    cands += kept
-                granted = relay_round(np.array(props, dtype=np.int64),
-                                      np.array(cands, dtype=np.int64))
-                pending = np.setdiff1d(pending, granted, assume_unique=True)
+    for _ in range(8):
+        if not pending.size:
+            break
+        h = pv[pending]
+        apparent = block[h] & ~pruned[pending]
+        sizes = apparent.sum(axis=1)
+        empty = np.flatnonzero(sizes == 0)
+        stop = empty[0] if empty.size else len(pending)
+        if network.trace is not None:
+            for i in np.flatnonzero(sizes[:stop] < k).tolist():
+                network.log(ids[h[i]], "multi_trial_clamp", f"{k}->{sizes[i]}")
+        perms = network.streams.permutations(ms[h[:stop]], sizes[:stop])
+        if stop < len(pending):
+            raise exhausted(pending[stop])
+        props = np.repeat(pending, np.minimum(sizes, k))
+        cands = np.concatenate([np.flatnonzero(row)[perm[:k]]
+                                for row, perm in zip(apparent, perms)])
+        # a handler proposes each relay for at most one of its pairs
+        kept = np.sort(np.unique(pv[props] * s + cands, return_index=True)[1])
+        granted = relay_round(props[kept], cands[kept])
+        pending = np.setdiff1d(pending, granted, assume_unique=True)
     if pending.size:
         raise SimError(
             f"overlay construction failed for {len(pending)} non-edges "
@@ -295,7 +290,9 @@ class RoutingRequest:
 
 def route(network: Network, overlay: CliqueOverlay, requests) -> int:
     """Deliver the requests over direct edges and relay paths, greedily
-    packing each edge up to the bit budget per round; returns rounds used."""
+    packing each edge up to the bit budget per round; returns rounds used.
+    A node carrying more than LOAD_CAP * Delta payload units is refused in
+    theory mode and logged as `route_over_cap` in practical mode."""
     g = network.graph
     cap = LOAD_CAP * g.delta
     load = defaultdict(int)
@@ -306,9 +303,11 @@ def route(network: Network, overlay: CliqueOverlay, requests) -> int:
         load[r.dst] += r.size
     for v, l in load.items():
         if l > cap:
-            raise SimError(
-                f"node {v} carries {l} payload units, above the cap {cap}"
-            )
+            if network.config.mode == "theory":
+                raise SimError(
+                    f"node {v} carries {l} payload units, above the cap {cap}"
+                )
+            network.log(v, "route_over_cap", f"{l}>{cap}")
     if not requests:
         return 0
 

@@ -24,15 +24,15 @@ Per-node randomness is an independent stream derived from
 (master_seed, node id), so node scheduling order cannot perturb draws. Node
 v's stream is exactly `np.random.default_rng([master_seed, v])`, and the
 layer draws of `dense_sparse.partition_layers` are exactly
-`default_rng([master_seed, 0xD15E, seed, v])`. Neither is built through
-`default_rng`: `seed_words` runs numpy's `SeedSequence` hash for a whole array
-of node ids in one pass, and `Streams` holds numpy's PCG64 state of every row
-in arrays. Its `integers` and `random` replay `Generator.integers(high)` and
-`Generator.random()` for many rows in one pass; any other `Generator` method
-runs on a checkout, `with streams.generators(rows) as gens:`, which hands out
-real generators in the rows' states and writes the states back on exit. That
-hash and that generator are fixed and have not changed since numpy 1.17;
-`tests/test_rng_streams.py` checks the streams against `default_rng`.
+`default_rng([master_seed, 0xD15E, seed, v])`. `seed_words` runs numpy's
+`SeedSequence` hash for a whole array of node ids in one pass, and every
+draw goes through `Streams`, which holds numpy's PCG64 state of every row in
+arrays: `integers` and `random` replay `Generator.integers(high)` and
+`Generator.random()` for many rows in one pass, while `permutations` and
+`samples` run `Generator.permutation` and scalar `Generator.integers` on
+each row's state in turn. That hash and that generator
+are fixed and have not changed since numpy 1.17; `tests/test_rng_streams.py`
+checks the streams against `default_rng`.
 """
 
 from __future__ import annotations
@@ -170,25 +170,6 @@ def seed_words(prefix, nodes) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-class _PresetSeed(np.random.bit_generator.ISeedSequence):
-    """A seed sequence whose one PCG64 seed is already computed."""
-
-    __slots__ = ("_words",)
-
-    def __init__(self, words):
-        self._words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a preset seed holds only 4 uint64 words")
-        return self._words
-
-
-def stream(words) -> np.random.Generator:
-    """The generator seeded by one row of `seed_words`."""
-    return np.random.Generator(np.random.PCG64(_PresetSeed(words)))
-
-
 # numpy's PCG64 (O'Neill 2014): a 128-bit LCG with this multiplier, stepped
 # before each 64-bit output, which is the XSL-RR of the new state
 _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
@@ -206,17 +187,23 @@ def _lcg(hi, lo, inc_hi, inc_lo):
             + hi * _PCG_MULT_LO + inc_hi + (new_lo < inc_lo)), new_lo
 
 
+# the one generator `Streams._on_row` loads row states into: building a
+# generator costs more than a state round trip, so it is built once
+_SHUFFLER = np.random.Generator(np.random.PCG64(0))
+
+
 class Streams:
-    """The streams `stream(words[i])` of the rows of `seed_words`, held in
-    arrays: per row the 128-bit PCG64 state and increment as uint64 halves,
-    and numpy's flag and buffer for the unused high half of a 32-bit draw.
-    `integers` and `random` draw what `Generator.integers(high)` and
-    `Generator.random()` draw, for many rows in one pass; a row appears at
-    most once per call."""
+    """The streams `np.random.default_rng(list(prefix) + [v])` of the rows of
+    `seed_words(prefix, nodes)`, held in arrays: per row the 128-bit PCG64
+    state and increment as uint64 halves, and numpy's flag and buffer for the
+    unused high half of a 32-bit draw. Four methods draw: `integers` and
+    `random` draw what `Generator.integers(high)` and `Generator.random()`
+    draw, for many rows in one pass, a row at most once per call;
+    `permutations` and `samples` draw on each row's state in turn, through
+    numpy's own generator, where a row may need many sequential draws."""
 
     def __init__(self, words):
-        self._words = np.asarray(words, dtype=np.uint64)
-        s_hi, s_lo, i_hi, i_lo = self._words.T
+        s_hi, s_lo, i_hi, i_lo = np.asarray(words, dtype=np.uint64).T
         # numpy's seeding: inc = 2 i + 1, state = (inc + s) * multiplier + inc
         self.inc_hi, self.inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
         lo = self.inc_lo + s_lo
@@ -224,18 +211,15 @@ class Streams:
                                 self.inc_hi, self.inc_lo)
         self.has32 = np.zeros(len(self.hi), dtype=bool)
         self.buf32 = np.zeros(len(self.hi), dtype=np.uint64)
-        self._out = np.zeros(len(self.hi), dtype=bool)     # checked out
 
-    def _rows(self, rows):
+    def _rows(self, rows, once=True):
         rows = np.asarray(rows, dtype=np.int64)
-        bad = (rows < 0) | (rows >= self._out.size)
+        bad = (rows < 0) | (rows >= self.hi.size)
         if bad.any():
-            raise ValueError(f"no row {rows[bad][0]} in {self._out.size} streams")
-        if rows.size > 1 and (rows[1:] <= rows[:-1]).any() \
+            raise ValueError(f"no row {rows[bad][0]} in {self.hi.size} streams")
+        if once and rows.size > 1 and (rows[1:] <= rows[:-1]).any() \
                 and (np.diff(np.sort(rows)) == 0).any():
             raise ValueError("a row appears twice in one call")
-        if self._out[rows].any():
-            raise SimError(f"row {rows[self._out[rows]][0]} is checked out")
         return rows
 
     def _next64(self, rows):
@@ -275,27 +259,51 @@ class Streams:
         """Row rows[i] draws `random()`: 53 bits of a 64-bit draw."""
         return (self._next64(self._rows(rows)) >> 11) * (1.0 / (1 << 53))
 
-    @contextmanager
-    def generators(self, rows):
-        """Yield a generator per row in the row's state, for any other
-        `Generator` method, and write the states back on exit; meanwhile the
-        rows take no array draw, so no stream forks."""
-        rows = self._rows(rows)
-        gens = [stream(w) for w in self._words[rows]]
-        cols = (self.hi, self.lo, self.inc_hi, self.inc_lo, self.has32, self.buf32)
-        for g, hi, lo, ih, il, has, buf in zip(gens, *(c[rows].tolist() for c in cols)):
-            g.bit_generator.state = {
-                "bit_generator": "PCG64", "has_uint32": has, "uinteger": buf,
-                "state": {"state": hi << 64 | lo, "inc": ih << 64 | il}}
-        self._out[rows] = True
-        try:
-            yield gens
-        finally:
-            self._out[rows] = False
-            for i, g in zip(rows.tolist(), gens):
-                st = g.bit_generator.state
-                self.hi[i], self.lo[i] = divmod(st["state"]["state"], 1 << 64)
-                self.has32[i], self.buf32[i] = st["has_uint32"], st["uinteger"]
+    def _on_row(self, r: int, draw):
+        """draw(generator) on row r: the row's state is loaded into the
+        shared generator, which draws, and is stored back."""
+        bits = _SHUFFLER.bit_generator
+        bits.state = {
+            "bit_generator": "PCG64", "has_uint32": int(self.has32[r]),
+            "uinteger": self.buf32.item(r),
+            "state": {"state": self.hi.item(r) << 64 | self.lo.item(r),
+                      "inc": self.inc_hi.item(r) << 64 | self.inc_lo.item(r)}}
+        out = draw(_SHUFFLER)
+        st = bits.state
+        self.hi[r], self.lo[r] = divmod(st["state"]["state"], 1 << 64)
+        self.has32[r], self.buf32[r] = st["has_uint32"], st["uinteger"]
+        return out
+
+    def permutations(self, rows, sizes) -> list:
+        """Row rows[i] draws `permutation(sizes[i])`, in list order, so a row
+        listed twice draws twice."""
+        rows, sizes = self._rows(rows, once=False), np.asarray(sizes, dtype=np.int64)
+        if sizes.min(initial=0) < 0:
+            raise ValueError("permutations needs sizes >= 0")
+        return [self._on_row(r, lambda g: g.permutation(size))
+                for r, size in zip(rows.tolist(), sizes.tolist())]
+
+    def samples(self, rows, masks, counts) -> list:
+        """Row rows[i] draws counts[i] distinct entries e with masks[i][e]
+        set, in draw order: all set entries in `permutation` order when the
+        count covers them, else `integers(len(masks[i]))`, redrawn while the
+        entry is unset or already drawn. Rows draw in list order."""
+        masks = [np.asarray(m, dtype=bool) for m in masks]
+        counts = np.asarray(counts, dtype=np.int64).tolist()
+        if any(not 0 <= c <= np.count_nonzero(m) for m, c in zip(masks, counts)):
+            raise ValueError("samples needs 0 <= count <= set entries")
+
+        def draw(g, mask, count):
+            if count == np.count_nonzero(mask):
+                return np.flatnonzero(mask)[g.permutation(count)].tolist()
+            mask, out = mask.tolist(), []
+            while len(out) < count:
+                e = int(g.integers(len(mask)))
+                if mask[e] and e not in out:
+                    out.append(e)
+            return out
+        return [self._on_row(r, lambda g: draw(g, m, c)) for r, m, c
+                in zip(self._rows(rows, once=False).tolist(), masks, counts)]
 
 
 def _bit_width(x: int) -> int:
@@ -428,9 +436,6 @@ class Network:
         k = self.pal_ptr.item(v + 1) - lo
         return self.pool_colors[i:i + k][~self.removed[lo:lo + k]].tolist()
 
-    def palette_size(self, v: int) -> int:
-        return self.live.item(v)
-
     def _find(self, nodes, colors):
         """Entry index of each (node, color) pair in the nodes' `removed`
         rows, and whether the color is on the node's list at all."""
@@ -448,33 +453,18 @@ class Network:
         found[found] = ~self.removed[pos[found]]
         return found
 
-    def sample_color(self, v: int, rng) -> int:
-        """Uniform draw from v's live palette: uniform entries of the full
-        sorted list until one is not removed."""
-        if self.live.item(v) <= 0:
-            raise SimError("empty palette")
-        lo, row = self.pal_ptr.item(v), self.pool_ptr.item(self.list_id.item(v))
-        k = self.pal_ptr.item(v + 1) - lo
-        while True:
-            i = int(rng.integers(k))
-            if not self.removed.item(lo + i):
-                return self.pool_colors.item(row + i)
-
-    def sample_colors(self, v: int, rng, count: int) -> list:
-        """Uniform subset of v's live palette, without replacement, in draw
-        order: a permutation of the whole live palette when `count` covers
-        it, else rejection over the full sorted list."""
-        live = self.live.item(v)
-        count = min(count, live)
-        if count == live:
-            pal = self.palette(v)
-            return [pal[i] for i in rng.permutation(live).tolist()]
-        out = []
-        while len(out) < count:
-            c = self.sample_color(v, rng)
-            if c not in out:
-                out.append(c)
-        return out
+    def sample_colors(self, nodes, counts) -> list:
+        """Per node nodes[i], min(counts[i], live) of its live colors, uniform
+        without replacement, in draw order (`Streams.samples` over the
+        node's entries, masked to the live ones)."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        lo, hi = self.pal_ptr[nodes].tolist(), self.pal_ptr[nodes + 1].tolist()
+        picks = self.streams.samples(
+            nodes, [~self.removed[a:b] for a, b in zip(lo, hi)],
+            np.minimum(np.asarray(counts, dtype=np.int64), self.live[nodes]))
+        row = self.pool_ptr[self.list_id[nodes]].tolist()
+        return [self.pool_colors[r + np.array(p, dtype=np.int64)].tolist()
+                for r, p in zip(row, picks)]
 
     def assign_colors(self, nodes, colors):
         """Permanently color nodes[i] with colors[i], all in one step. The

@@ -1,5 +1,5 @@
-"""Basic randomized coloring primitives: color trials, slack generation and
-parallel multi-trials."""
+"""Basic randomized coloring primitives: color trials and slack generation.
+Every draw is an array draw on the node streams (`sim.Streams`)."""
 
 from __future__ import annotations
 
@@ -62,8 +62,8 @@ def random_color_trial(network: Network, active, phase: str = "rct") -> list:
     if empty.any():
         raise SimError(f"node {active[np.argmax(empty)]} has an empty palette "
                        f"in {phase}")
-    # uniform entries of the full sorted lists, redrawn while removed: one
-    # `integers` call per node and draw, as `Network.sample_color` makes them
+    # uniform entries of the full sorted lists, redrawn while removed: the
+    # `integers` draws `Streams.samples` makes for a count of 1
     lo = network.pal_ptr[active]
     size = network.pal_ptr[active + 1] - lo
     offset = np.zeros(active.size, dtype=np.int64)
@@ -100,14 +100,3 @@ def slack_generation(network: Network) -> list:
         network.log(-1, "slack_sample", str(len(sampled)))
     return random_color_trial(network, sampled, phase="slack_generation")
 
-
-def multi_trial(network: Network, v: int, k: int, palette, rng) -> list:
-    """Sample k distinct colors of `palette` in draw order with v's
-    checked-out generator; the caller adjudicates conflicts and colors with
-    the first non-conflicting one."""
-    pal = sorted(palette)
-    if k > len(pal):
-        if network.trace is not None:
-            network.log(v, "multi_trial_clamp", f"{k}->{len(pal)}")
-        k = len(pal)
-    return [pal[int(i)] for i in rng.permutation(len(pal))[:k]]

@@ -20,6 +20,7 @@ from congestcolor import acd
 from congestcolor.acd import AlmostCliqueDecomposition
 from congestcolor.graphs import Graph
 from congestcolor.sim import Network, SimError
+from stream_checkout import generators
 
 
 def compute_acd_reference(network: Network) -> AlmostCliqueDecomposition:
@@ -67,7 +68,7 @@ def compute_acd_reference(network: Network) -> AlmostCliqueDecomposition:
     forward_p = min(1.0, exp_s_deg / (2.0 * sqrt_d))
     exp_count = reps * big_d * forward_p / exp_s_deg  # per friend edge
 
-    with network.streams.generators(range(n)) as rngs:
+    with generators(network.streams, range(n)) as rngs:
         # step 1: sample S
         in_s = [rngs[v].random() < p_s for v in range(n)]
         # everyone learns which neighbors are sampled (one bit per edge)

@@ -12,6 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from congestcolor.sim import BandwidthError, SimError
+from stream_checkout import generators
 
 
 @dataclass
@@ -43,7 +44,7 @@ class LiteralEngine:
         edge_bits = defaultdict(int)
         messages = 0
         rnd = net.round_counter
-        with net.streams.generators(range(net.graph.n)) as rngs:
+        with generators(net.streams, range(net.graph.n)) as rngs:
             outs = [handler(v, net, self.inboxes.get(v, []), rngs[v])
                     for v in range(net.graph.n)]
         for v, out in enumerate(outs):

@@ -16,7 +16,19 @@ from collections import defaultdict
 from congestcolor import overlay
 from congestcolor.overlay import CliqueOverlay
 from congestcolor.sim import Network, SimError
-from congestcolor.trials import multi_trial
+from stream_checkout import generators
+
+
+def multi_trial(network: Network, v: int, k: int, palette, rng) -> list:
+    """Sample k distinct colors of `palette` in draw order with v's
+    generator: the first k entries of a permutation of the sorted palette,
+    clamped to its size."""
+    pal = sorted(palette)
+    if k > len(pal):
+        if network.trace is not None:
+            network.log(v, "multi_trial_clamp", f"{k}->{len(pal)}")
+        k = len(pal)
+    return [pal[int(i)] for i in rng.permutation(len(pal))[:k]]
 
 
 def compute_overlay_reference(network: Network, clique, leader: int,
@@ -131,7 +143,7 @@ def compute_overlay_reference(network: Network, clique, leader: int,
         for pair, (handler, apparent, _) in pending.items():
             if not apparent:
                 raise SimError(f"overlay: pair {pair} ran out of candidate relays")
-            with network.streams.generators([handler]) as (rng,):
+            with generators(network.streams, [handler]) as (rng,):
                 w = sorted(apparent)[int(rng.integers(len(apparent)))]
             if w in handler_picks[handler]:
                 continue  # same color sampled twice by one handler: skip round
@@ -150,7 +162,7 @@ def compute_overlay_reference(network: Network, clique, leader: int,
         for pair, (handler, apparent, _) in pending.items():
             if not apparent:
                 raise SimError(f"overlay: pair {pair} ran out of candidate relays")
-            with network.streams.generators([handler]) as (rng,):
+            with generators(network.streams, [handler]) as (rng,):
                 cands = multi_trial(network, handler, k, apparent, rng)
             kept = [w for w in cands if w not in handler_edges[handler]]
             handler_edges[handler].update(kept)

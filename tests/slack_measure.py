@@ -10,4 +10,4 @@ def measure_slack(network, v: int, subgraph=None) -> int:
     else:
         d = sum(1 for u in network.graph.neighbors(v)
                 if u in subgraph and network.color[u] < 0)
-    return network.palette_size(v) - d
+    return network.live.item(v) - d

@@ -29,6 +29,7 @@ from congestcolor.small_degree import (
     decompose_clusters,
     shatter,
 )
+from stream_checkout import generators
 
 
 def reduce_colorspace(network: Network, cluster: Cluster) -> ColorMap:
@@ -137,7 +138,7 @@ def color_clusters(network: Network, decomposition: ClusterDecomposition,
             got = {(v, i): None for v in members for i in range(instances)}
             for _ in range(iters):
                 picks = {}
-                with network.streams.generators(members) as rngs:
+                with generators(network.streams, members) as rngs:
                     for v, rng in zip(members, rngs):
                         for i in range(instances):
                             if got[(v, i)] is None and pal[(v, i)]:

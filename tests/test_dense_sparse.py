@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from congestcolor import dense_sparse
-
+from congestcolor import dense_sparse, overlay
 from congestcolor.acd import AlmostCliqueDecomposition, compute_acd
 from congestcolor.config import SimConfig
 from congestcolor.dense_sparse import (
@@ -28,7 +27,8 @@ from congestcolor.graphs import (
     make_palettes,
     verify_coloring,
 )
-from congestcolor.overlay import compute_overlay
+from congestcolor.harness import run_pipeline
+from congestcolor.overlay import compute_overlay, route
 from congestcolor.sim import SimError, new_network
 from congestcolor.trials import slack_generation
 
@@ -236,12 +236,36 @@ def test_subpalette_sampling_uniform():
                       SimConfig(), 0)
     counts = {c: 0 for c in net.palette(0)}
     draws = 3000
-    for i in range(draws):
-        for c in net.sample_colors(0, np.random.default_rng(i), 3):
+    for _ in range(draws):
+        for c in net.sample_colors([0], [3])[0]:
             counts[c] += 1
     observed = [counts[c] for c in net.palette(0)]
     _, pvalue = scipy_stats.chisquare(observed)
     assert pvalue > 0.01
+
+
+@pytest.mark.parametrize("kind", ["delta_plus_one", "deg_plus_one"])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_random_lists_route_over_the_load_cap(monkeypatch, seed, kind):
+    # the benchmark's two-clique instance with random lists: a subpalette
+    # gather loads one node beyond LOAD_CAP * Delta, which practical mode
+    # books over more rounds instead of refusing
+    over = []
+
+    def spy(network, ov, requests):
+        load = np.zeros(network.graph.n, dtype=np.int64)
+        for r in requests:
+            load[[r.src, r.dst]] += r.size
+        over.append(load.max() > overlay.LOAD_CAP * network.graph.delta)
+        return route(network, ov, requests)
+
+    monkeypatch.setattr(dense_sparse, "route", spy)
+    g = generate("planted_almost_cliques",
+                 {"k": 2, "delta": 512, "removal": 0.03, "inter_p": 0.0}, seed)
+    pal = make_palettes(g, seed=seed + 1, mode="random", kind=kind)
+    report = run_pipeline(g, pal, SimConfig(c_small=0.002, c_layer=0.25, k4=0), seed)
+    assert any(over)
+    assert report.valid and verify_coloring(g, pal, report.coloring).ok
 
 
 def test_trajectory_csv_format():

@@ -188,6 +188,7 @@ def test_cli_verify_flags_bad_coloring(tmp_path):
 @pytest.mark.parametrize("text, problem", [
     ("0 1\n1 2 3\n2 1\n", "line 2: expected '<node> <color>', got '1 2 3'"),
     ("0 1\n1 2\n0 2\n2 1\n", "line 3: node 0 is listed twice"),
+    ("0 1\n\n7 2\n2 1\n", "line 3: node 7 is not in the 3-node graph"),
 ])
 def test_cli_verify_rejects_malformed_coloring(tmp_path, capsys, text, problem):
     gpath = tmp_path / "g.col"
@@ -196,7 +197,21 @@ def test_cli_verify_rejects_malformed_coloring(tmp_path, capsys, text, problem):
     cpath.write_text(text)
     assert main(["verify", "--graph", str(gpath),
                  "--coloring", str(cpath)]) == 2
-    assert problem in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"verify: {cpath} {problem}\n"
+
+
+def test_cli_verify_rejects_a_node_without_list(tmp_path, capsys):
+    gpath = tmp_path / "g.col"
+    gpath.write_text(save_edge_list(generate("path", {"n": 3}, seed=0)))
+    cpath = tmp_path / "c.txt"
+    cpath.write_text("0 1\n2 1\n1 2\n")
+    ppath = tmp_path / "p.txt"
+    ppath.write_text("U 3\n0: 1 2\n1: 1 2\n")
+    assert main(["verify", "--graph", str(gpath), "--coloring", str(cpath),
+                 "--palettes", str(ppath)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"verify: {cpath} line 2: node 2 has no list in {ppath}\n"
 
 
 def test_results_csv_header_check():

@@ -3,10 +3,10 @@
 After any sequence of color trials and single assignments, each node's
 uncolored degree and live palette must equal what a brute-force pass over
 `coloring()` derives; one batched `assign_colors` must leave the same state
-as the same assignments made one at a time; and palette sampling must draw
-the same colors, from the same stream positions, as the tuple-plus-removed-set
-formulation below. Equal lists share one pool row, found by value, and a
-node's `list_id` must keep overlapping lists apart.
+as the same assignments made one at a time; and the array palette sampling
+must draw the same colors, from the same stream positions, as the per-node
+tuple-plus-removed-set formulation below. Equal lists share one pool row,
+found by value, and a node's `list_id` must keep overlapping lists apart.
 """
 
 import numpy as np
@@ -22,15 +22,6 @@ from congestcolor.graphs import (
 )
 from congestcolor.sim import SimError, new_network
 from congestcolor.trials import try_color_round
-
-
-def ref_sample_color(base, removed, rng):
-    """Uniform draw from the palette: rejection over the sorted base list."""
-    k = len(base)
-    while True:
-        c = base[int(rng.integers(k))]
-        if c not in removed:
-            return c
 
 
 def ref_sample_colors(base, removed, rng, count):
@@ -87,13 +78,13 @@ def check_state(net):
         assert net.udeg[v] == sum(1 for u in nbrs if u not in coloring)
         base, removed = base_and_removed(net, v)
         assert net.palette(v) == sorted(set(base) - removed)
-        assert net.palette_size(v) == len(net.palette(v))
+        assert net.live[v] == len(net.palette(v))
 
 
 def random_step(net, data):
     """One try_color_round over a drawn subset of uncolored nodes with drawn
     palette picks, or one single-node assign_colors of a drawn live color."""
-    active = [v for v in uncolored(net) if net.palette_size(v)]
+    active = [v for v in uncolored(net) if net.live[v]]
     if not active:
         return
     if data.draw(st.booleans()):
@@ -133,8 +124,8 @@ def test_batch_equals_one_at_a_time(inst, data):
     for net in nets:
         rng = np.random.default_rng(prefix_seed)
         for _ in range(steps):
-            picks = {v: net.palette(v)[int(rng.integers(net.palette_size(v)))]
-                     for v in uncolored(net) if net.palette_size(v)}
+            picks = {v: net.palette(v)[int(rng.integers(net.live[v]))]
+                     for v in uncolored(net) if net.live[v]}
             try_color_round(net, picks)
     assert state(nets[0]) == state(nets[1])
     # a valid batch: distinct uncolored nodes with live colors, no two
@@ -156,22 +147,29 @@ def test_batch_equals_one_at_a_time(inst, data):
 @settings(max_examples=150, deadline=None)
 @given(instances(), st.data())
 def test_sampling_matches_reference(inst, data):
+    # the streams are exactly default_rng([seed, v]), so the per-node
+    # reference draws from those; a warm-up `integers` draw can leave a
+    # 32-bit half-word pending
     g, pal, seed = inst
     net = new_network(g, pal, SimConfig(), seed)
     for _ in range(data.draw(st.integers(0, 4))):
         random_step(net, data)
-    for v in range(g.n):
+    nodes = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
+    refs = [np.random.default_rng([seed, v]) for v in nodes]
+    highs = data.draw(st.lists(st.sampled_from([1, 7, 2 ** 32]),
+                               min_size=len(nodes), max_size=len(nodes)))
+    assert net.streams.integers(nodes, highs).tolist() == \
+        [int(r.integers(h)) for r, h in zip(refs, highs)]
+    counts, want = [], []
+    for v, ref in zip(nodes, refs):
         base, removed = base_and_removed(net, v)
-        if not net.palette_size(v):
-            continue
-        s = data.draw(st.integers(0, 2 ** 32 - 1))
-        ours, ref = np.random.default_rng(s), np.random.default_rng(s)
-        assert net.sample_color(v, ours) == ref_sample_color(base, removed, ref)
-        count = data.draw(st.integers(0, len(base) + 1))
-        assert net.sample_colors(v, ours, count) == \
-            ref_sample_colors(base, removed, ref, count)
-        # both consumed the same number of draws
-        assert ours.integers(2 ** 62) == ref.integers(2 ** 62)
+        live = net.live[v]
+        counts.append(data.draw(st.one_of(st.sampled_from([0, 1, live]),
+                                          st.integers(0, len(base) + 1))))
+        want.append(ref_sample_colors(base, removed, ref, counts[-1]))
+    assert net.sample_colors(nodes, counts) == want
+    # both consumed the same number of draws
+    assert net.streams.random(nodes).tolist() == [r.random() for r in refs]
 
 
 @st.composite

@@ -186,11 +186,31 @@ def test_route_via_relay_two_rounds():
 def test_route_load_cap(monkeypatch):
     monkeypatch.setattr(overlay, "LOAD_CAP", 1)
     g = generate("complete", {"n": 8}, seed=0)
-    net = net_for(g)
+    net = net_for(g, mode="theory")
     ov = compute_overlay(net, range(8), 0, epsilon=0.05)
     reqs = [RoutingRequest(0, v, size=4) for v in range(1, 8)]
-    with pytest.raises(SimError, match="cap"):
+    with pytest.raises(SimError, match="node 0 carries 28 payload units, above the cap 7"):
         route(net, ov, reqs)
+
+
+def test_route_books_over_cap_load_in_practical_mode(monkeypatch):
+    # node 0 carries 28 units: within the default cap 4 * 7, above the cap
+    # 1 * 7; practical mode books the same rounds either way and logs it
+    g = generate("complete", {"n": 8}, seed=0)
+    reqs = [RoutingRequest(0, v, size=4) for v in range(1, 8)]
+    booked = []
+    for load_cap in (overlay.LOAD_CAP, 1):
+        monkeypatch.setattr(overlay, "LOAD_CAP", load_cap)
+        net = net_for(g, trace=True)
+        ov = compute_overlay(net, range(8), 0, epsilon=0.05)
+        before = net.stats.snapshot()
+        rounds = route(net, ov, reqs)
+        after = net.stats.snapshot()
+        booked.append((rounds, after["rounds"] - before["rounds"],
+                       after["total_messages"] - before["total_messages"]))
+        over = [(v, d) for _, v, e, d in net.trace if e == "route_over_cap"]
+        assert over == ([(0, "28>7")] if load_cap == 1 else [])
+    assert booked[0] == booked[1] and booked[0][0] >= 4
 
 
 def test_route_counts_every_delivery():

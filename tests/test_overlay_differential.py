@@ -7,20 +7,20 @@ position, so that the rest of a pipeline run sees the same bill.
 """
 
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import overlay_reference
-from overlay_reference import compute_overlay_reference
+from overlay_reference import compute_overlay_reference, multi_trial
 from congestcolor.acd import compute_acd
 from congestcolor.config import SimConfig
 from congestcolor.graphs import Graph, generate, make_palettes
 from congestcolor import overlay
 from congestcolor.overlay import compute_overlay
 from congestcolor.sim import SimError, Streams, new_network
-from congestcolor.trials import multi_trial
 
 
 def outcome(compute, g, cliques, seed, epsilon=0.05, through_acd=False, **cfg):
@@ -122,17 +122,17 @@ def test_clique_given_as_range_and_as_set():
         assert any(event == "overlay_warn" for _, _, event, _ in trace)
 
 
-def spy_checkouts(monkeypatch):
-    """The rows of every `Streams.generators` checkout from now on."""
-    checkouts = []
-    generators = Streams.generators
+def spy_permutations(monkeypatch):
+    """The rows of every `Streams.permutations` call from now on."""
+    calls = []
+    permutations = Streams.permutations
 
-    def spy(self, rows):
-        checkouts.append(np.asarray(rows).tolist())
-        return generators(self, rows)
+    def spy(self, rows, sizes):
+        calls.append(np.asarray(rows).tolist())
+        return permutations(self, rows, sizes)
 
-    monkeypatch.setattr(Streams, "generators", spy)
-    return checkouts
+    monkeypatch.setattr(Streams, "permutations", spy)
+    return calls
 
 
 def round_cap(g, mult):
@@ -141,16 +141,16 @@ def round_cap(g, mult):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_no_checkout_within_cap(monkeypatch, seed):
-    # the capped rounds draw from the stream arrays; a clique they finish
-    # checks out no generator
+    # the capped rounds draw with `integers`; a clique they finish makes no
+    # `permutations` call
     g = generate(
         "planted_almost_cliques", {"k": 1, "delta": 128, "removal": 0.01}, seed=seed
     )
-    checkouts = spy_checkouts(monkeypatch)
+    calls = spy_permutations(monkeypatch)
     result, stats, _, _ = outcome(compute_overlay, g, whole(g), seed)
     assert result[0][2]
     assert stats["per_phase"]["overlay_pair"] <= 2 * round_cap(g, overlay.ROUND_MULT)
-    assert checkouts == []
+    assert calls == []
 
 
 def test_finishing_rounds(monkeypatch):
@@ -162,20 +162,20 @@ def test_finishing_rounds(monkeypatch):
     )
     _, stats, _, _ = assert_same(g, whole(g), 2)
     assert stats["per_phase"]["overlay_pair"] > 2 * round_cap(g, 1)
-    # the reference calls multi_trial for every pair pending in a finishing
-    # round, so its callers are the handlers left after the cap: exactly
-    # those rows are checked out, in one checkout
-    finishing = set()
+    # the reference calls multi_trial once per pair pending in a finishing
+    # round, in pending order; each finishing round is one `permutations`
+    # call whose rows are exactly those pairs' handlers
+    rounds = defaultdict(list)      # round stamp -> callers, in call order
 
     def record(network, v, *args):
-        finishing.add(v)
+        rounds[network.round_counter].append(v)
         return multi_trial(network, v, *args)
 
     monkeypatch.setattr(overlay_reference, "multi_trial", record)
     outcome(compute_overlay_reference, g, whole(g), 2)
-    checkouts = spy_checkouts(monkeypatch)
+    calls = spy_permutations(monkeypatch)
     outcome(compute_overlay, g, whole(g), 2)
-    assert finishing and checkouts == [sorted(finishing)]
+    assert len(rounds) > 1 and calls == list(rounds.values())
 
 
 @pytest.mark.parametrize("edges, n, first", [

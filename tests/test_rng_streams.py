@@ -1,11 +1,11 @@
 """The per-node random streams against numpy's own `default_rng`.
 
 `sim.seed_words` reimplements numpy's `SeedSequence` hash as one array pass,
-`sim.stream` starts PCG64 from one row of it, and `sim.Streams` holds the
-PCG64 state of every row in arrays. Every node stream and every layer draw
-must be the stream `np.random.default_rng(list(prefix) + [v])` builds: same
-draws, in the same order, for any mix of draw kinds, whether a row draws in
-an array pass or on a checked-out generator.
+and `sim.Streams` holds the PCG64 state of every row in arrays. Every node
+stream and every layer draw must be the stream
+`np.random.default_rng(list(prefix) + [v])` builds: same draws, in the same
+order, for any mix of the draw kinds (`integers`, `random`, `permutations`
+and `samples`).
 """
 
 import ast
@@ -19,7 +19,7 @@ from congestcolor import sim
 from congestcolor.config import SimConfig
 from congestcolor.dense_sparse import _LAYER_TAG, layer_schedule, partition_layers
 from congestcolor.graphs import generate, make_palettes
-from congestcolor.sim import SimError, Streams, new_network, seed_words, stream
+from congestcolor.sim import Streams, new_network, seed_words
 
 # an entropy integer of one, two or three 32-bit words, or zero
 entropy_ints = st.one_of(
@@ -48,6 +48,19 @@ def draw_all(rng, plan):
     return out
 
 
+def draw_streams(streams, row, plan):
+    """`draw_all` for one row of `streams`, through its array draws."""
+    out = []
+    for kind, k in plan:
+        if kind == "integers":
+            out.append(streams.integers([row], [k]).item())
+        elif kind == "random":
+            out.append(streams.random([row]).item())
+        else:
+            out.append(streams.permutations([row], [k])[0].tolist())
+    return out
+
+
 def test_seed_words_equal_seed_sequence_on_every_16_bit_id():
     words = seed_words([7], np.arange(2 ** 16))
     assert words.shape == (2 ** 16, 4) and words.dtype == np.uint64
@@ -68,9 +81,9 @@ def test_seed_words_equal_seed_sequence_on_every_16_bit_id():
     draws,
 )
 def test_streams_equal_default_rng(prefix, nodes, plan):
-    words = seed_words(prefix, nodes)
-    for v, row in zip(nodes, words):
-        ours = draw_all(stream(row), plan)
+    streams = Streams(seed_words(prefix, nodes))
+    for row, v in enumerate(nodes):
+        ours = draw_streams(streams, row, plan)
         assert ours == draw_all(np.random.default_rng(list(prefix) + [v]), plan)
 
 
@@ -85,13 +98,11 @@ def test_network_streams_independent_of_build_order(seed, shuffler, plan):
     net = network(seed=seed)
     order = list(range(net.graph.n))
     shuffler.shuffle(order)
-    with net.streams.generators(order) as gens:
-        shuffled = {v: draw_all(rng, plan) for v, rng in zip(order, gens)}
+    shuffled = {v: draw_streams(net.streams, v, plan) for v in order}
     in_order = network(seed=seed)
-    with in_order.streams.generators(range(net.graph.n)) as gens:
-        for v, rng in enumerate(gens):
-            assert shuffled[v] == draw_all(rng, plan)
-            assert shuffled[v] == draw_all(np.random.default_rng([seed, v]), plan)
+    for v in range(net.graph.n):
+        assert shuffled[v] == draw_streams(in_order.streams, v, plan)
+        assert shuffled[v] == draw_all(np.random.default_rng([seed, v]), plan)
 
 
 def test_rng_is_cached_per_node():
@@ -137,74 +148,108 @@ def test_out_of_range_ids_are_refused():
             net.streams.random([v])
 
 
-def test_preset_seed_serves_only_the_pcg64_request():
-    seed_seq = stream(seed_words([1], [0])[0]).bit_generator.seed_seq
-    assert seed_seq.generate_state(4, np.uint64).shape == (4,)
-    for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
-        with pytest.raises(ValueError):
-            seed_seq.generate_state(n_words, dtype)
-
-
 ROWS = 12
 # 2**31 + 1 rejects about half of its 32-bit draws
 highs = st.one_of(st.integers(1, 300),
                   st.sampled_from([2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32]))
 row_sets = st.lists(st.integers(0, ROWS - 1), unique=True, max_size=ROWS)
+# permutations take a row more than once; sizes 0 and 1 draw nothing
+row_lists = st.lists(st.integers(0, ROWS - 1), max_size=ROWS)
+sizes = st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 600))
+
+
+def ref_samples(rng, mask, count):
+    """`Streams.samples` for one row, written against a generator."""
+    live = np.flatnonzero(mask)
+    if count == live.size:
+        return live[rng.permutation(count)].tolist()
+    out = []
+    while len(out) < count:
+        e = int(rng.integers(len(mask)))
+        if mask[e] and e not in out:
+            out.append(e)
+    return out
+
+
+@st.composite
+def masked_counts(draw):
+    """A mask of 0 to 600 entries, most or few of them set, and a count of
+    0, 1, all set entries or any number between."""
+    size = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 600)))
+    p = draw(st.sampled_from([0.05, 0.5, 0.95, 1.0]))
+    mask = np.random.default_rng(draw(st.integers(0, 2 ** 32))).random(size) < p
+    live = int(mask.sum())
+    count = draw(st.one_of(st.sampled_from([0, min(1, live), live]),
+                           st.integers(0, live)))
+    return mask, count
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 40), st.data())
 def test_array_streams_equal_generator_draws(seed, data):
-    words = seed_words([seed], np.arange(ROWS))
-    streams = Streams(words)
-    refs = [stream(row) for row in words]
+    streams = Streams(seed_words([seed], np.arange(ROWS)))
+    refs = [np.random.default_rng([seed, r]) for r in range(ROWS)]
     for _ in range(data.draw(st.integers(1, 12))):
-        rows = data.draw(row_sets)
-        kind = data.draw(st.sampled_from(["integers", "random", "checkout"]))
+        kind = data.draw(st.sampled_from(["integers", "random", "permutations",
+                                          "samples"]))
         if kind == "integers":
+            rows = data.draw(row_sets)
             hs = data.draw(st.lists(highs, min_size=len(rows), max_size=len(rows)))
             assert streams.integers(rows, hs).tolist() == \
                 [int(refs[r].integers(h)) for r, h in zip(rows, hs)]
         elif kind == "random":
+            rows = data.draw(row_sets)
             assert streams.random(rows).tolist() == [refs[r].random() for r in rows]
+        elif kind == "permutations":
+            rows = data.draw(row_lists)
+            ks = data.draw(st.lists(sizes, min_size=len(rows), max_size=len(rows)))
+            got = [p.tolist() for p in streams.permutations(rows, ks)]
+            assert got == [refs[r].permutation(k).tolist() for r, k in zip(rows, ks)]
         else:
-            plan = data.draw(draws)
-            with streams.generators(rows) as gens:
-                got = [draw_all(g, plan) for g in gens]
-            assert got == [draw_all(refs[r], plan) for r in rows]
+            rows = data.draw(row_lists)
+            cases = [data.draw(masked_counts()) for _ in rows]
+            got = streams.samples(rows, [m for m, _ in cases], [c for _, c in cases])
+            assert got == [ref_samples(refs[r], m, c) for r, (m, c) in zip(rows, cases)]
     assert streams.random(np.arange(ROWS)).tolist() == [g.random() for g in refs]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 40), st.data())
+def test_permutations_equal_default_rng(seed, data):
+    # every row first draws a 32-bit value and keeps its high half pending,
+    # which the shuffle must take before it steps the generator
+    streams = Streams(seed_words([seed], np.arange(4)))
+    refs = [np.random.default_rng([seed, r]) for r in range(4)]
+    assert streams.integers(range(4), [5] * 4).tolist() == \
+        [int(r.integers(5)) for r in refs]
+    assert streams.has32.all()
+    rows = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=8))
+    ks = data.draw(st.lists(sizes, min_size=len(rows), max_size=len(rows)))
+    got = streams.permutations(rows, ks)
+    assert [p.tolist() for p in got] == \
+        [refs[r].permutation(k).tolist() for r, k in zip(rows, ks)]
+    assert all(p.dtype == np.int64 for p in got)
+    assert streams.integers(range(4), [2 ** 32] * 4).tolist() == \
+        [int(r.integers(2 ** 32)) for r in refs]
+
+
 def test_bad_calls_are_refused_without_drawing():
-    words = seed_words([4], np.arange(6))
-    streams = Streams(words)
+    streams = Streams(seed_words([4], np.arange(6)))
     for call in (lambda: streams.integers([1, 2, 1], [3, 3, 3]),
                  lambda: streams.random([5, 5]),
-                 lambda: streams.generators([0, 0]).__enter__(),
                  lambda: streams.integers([1, 2], [3, 0]),
                  lambda: streams.integers([1], [-1]),
                  lambda: streams.integers([1], [2 ** 32 + 1]),
-                 lambda: streams.random([6])):
+                 lambda: streams.random([6]),
+                 lambda: streams.permutations([1, 2], [3, -1]),
+                 lambda: streams.permutations([1, 6], [3, 3]),
+                 lambda: streams.samples([1, 2], [[1, 1], [1, 0]], [1, 2]),
+                 lambda: streams.samples([1], [[1, 1]], [-1]),
+                 lambda: streams.samples([6], [[1]], [1])):
         with pytest.raises(ValueError):
             call()
     assert streams.random(np.arange(6)).tolist() == \
-        [stream(row).random() for row in words]
-
-
-def test_checked_out_row_takes_no_array_draw():
-    words = seed_words([4], np.arange(6))
-    streams = Streams(words)
-    ref = stream(words[3])
-    with streams.generators([3, 1]) as (g3, _):
-        g3.permutation(10)
-        for call in (lambda: streams.random([0, 3]),
-                     lambda: streams.integers([3], [7]),
-                     lambda: streams.generators([3]).__enter__()):
-            with pytest.raises(SimError, match="row 3 is checked out"):
-                call()
-        streams.random([0, 2])
-    ref.permutation(10)
-    assert streams.integers([3], [7]).tolist() == [ref.integers(7)]
+        [np.random.default_rng([4, v]).random() for v in range(6)]
 
 
 RNG_BUILDERS = {"default_rng", "Generator", "PCG64", "stream"}

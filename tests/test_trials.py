@@ -5,12 +5,13 @@ from congestcolor.config import SimConfig
 from congestcolor.graphs import generate, make_palettes, verify_coloring
 from congestcolor.sim import SimError, new_network
 from congestcolor.trials import (
-    multi_trial,
     random_color_trial,
     slack_generation,
     try_color_round,
 )
+from overlay_reference import multi_trial
 from slack_measure import measure_slack
+from stream_checkout import generators
 
 
 def mk(model, params, seed=0, pal_mode="shared", pal_kind="delta_plus_one", **cfg):
@@ -21,14 +22,13 @@ def mk(model, params, seed=0, pal_mode="shared", pal_kind="delta_plus_one", **cf
 
 def test_try_color_isolated_winner():
     net = mk("path", {"n": 3})
-    with net.streams.generators([0]) as (rng,):
-        c = net.sample_color(0, rng)
+    (c,), = net.sample_colors([0], [1])
     winners = try_color_round(net, {0: c})
     assert winners == [0]
     assert net.color[0] == c
     assert not net.in_palettes(np.array([1]), np.array([c]))[0]
     # the non-adjacent node keeps its full list
-    assert net.palette_size(2) == net.graph.delta + 1
+    assert net.live[2] == net.graph.delta + 1
 
 
 def test_try_color_conflict_blocks_both():
@@ -152,7 +152,7 @@ def test_slack_generation_samples_small_fraction():
 
 def test_multi_trial_distinct_in_palette():
     net = mk("complete", {"n": 10})
-    with net.streams.generators([0]) as (rng,):
+    with generators(net.streams, [0]) as (rng,):
         out = multi_trial(net, 0, 5, net.palette(0), rng)
     assert len(out) == 5 and len(set(out)) == 5
     assert net.in_palettes(np.zeros(5, dtype=np.int64), np.array(out)).all()
@@ -160,7 +160,7 @@ def test_multi_trial_distinct_in_palette():
 
 def test_multi_trial_clamps_to_palette_size():
     net = mk("path", {"n": 2}, pal_kind="deg_plus_one")
-    with net.streams.generators([0]) as (rng,):
+    with generators(net.streams, [0]) as (rng,):
         out = multi_trial(net, 0, 10, net.palette(0), rng)
     assert sorted(out) == net.palette(0)
 
