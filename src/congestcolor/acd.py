@@ -34,7 +34,7 @@ _PAIR_BUDGET = 1 << 20
 
 # detection slack delta: epsilon = 27 * delta and eta = epsilon / 108
 DELTA_ACD = 1.0 / 81.0
-# theory mode requires Delta >= C_THEORY * log^2 n
+# the analysis requires Delta >= C_THEORY * log^2 n (`acd_delta_floor`)
 C_THEORY = 1.0
 # practical-mode calibration; theory mode pins all three to 1.0 / 1 / 1.0
 SAMPLE_MULT = 4.0     # sampling probability min(1, SAMPLE_MULT / sqrt(Delta))
@@ -78,19 +78,15 @@ def compute_acd(network: Network) -> AlmostCliqueDecomposition:
     small-degree pipeline branch handles that regime anyway).
     """
     g = network.graph
-    cfg = network.config
     delta = DELTA_ACD
     eps = Fraction(delta).limit_denominator(10**9) * 27
     eta = eps / 108
     big_d = g.delta
     if big_d < 2:
         raise SimError("acd needs Delta >= 2")
-    if cfg.mode == "theory":
-        floor = C_THEORY * math.log2(max(2, g.n)) ** 2
-        if big_d < floor:
-            raise SimError(
-                f"theory mode requires Delta >= c*log^2 n = {floor:.1f}, got {big_d}"
-            )
+    floor = C_THEORY * math.log2(max(2, g.n)) ** 2
+    network.require("acd_delta_floor", big_d >= floor,
+                    f"theory mode requires Delta >= c*log^2 n = {floor:.1f}, got {big_d}")
     if big_d < 16:
         network.log(-1, "acd", "skipped (Delta < 16)")
         return AlmostCliqueDecomposition(
@@ -106,7 +102,7 @@ def compute_acd(network: Network) -> AlmostCliqueDecomposition:
     # Delta >> log^2 n). Practical mode oversamples S, repeats the gossip, and
     # puts the thresholds at a fixed fraction of the expectation; theory mode
     # pins all three so the computation below is the literal algorithm.
-    if cfg.mode == "theory":
+    if network.config.mode == "theory":
         s_mult, reps, margin = 1.0, 1, 1.0
     else:
         s_mult, reps, margin = SAMPLE_MULT, GOSSIP_REPS, MARGIN

@@ -33,12 +33,18 @@ def _default_out() -> str:
     return os.environ.get(OUT_ENV, "results")
 
 
+def _parse(path: str, parse):
+    """parse(the text of the file at path); a ValueError names the file."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_config(path: str | None, mode: str | None) -> SimConfig:
-    if path:
-        with open(path) as fh:
-            cfg = SimConfig.from_text(fh.read())
-    else:
-        cfg = SimConfig()
+    cfg = _parse(path, SimConfig.from_text) if path else SimConfig()
     if mode:
         cfg.mode = mode
     return cfg.validate()
@@ -57,8 +63,7 @@ def _gen_params(args) -> dict:
 
 def cmd_run(args) -> int:
     if args.graph:
-        with open(args.graph) as fh:
-            graph = load_edge_list(fh.read())
+        graph = _parse(args.graph, load_edge_list)
     elif args.gen:
         graph = generate(args.gen, _gen_params(args), args.seed)
     else:
@@ -66,8 +71,7 @@ def cmd_run(args) -> int:
         return 2
     config = _load_config(args.config, args.mode)
     if args.palettes:
-        with open(args.palettes) as fh:
-            palettes = load_palettes(fh.read())
+        palettes = _parse(args.palettes, load_palettes)
     else:
         palettes = make_palettes(graph, seed=args.seed + 1)
     report = run_pipeline(graph, palettes, config, args.seed)
@@ -79,12 +83,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.graph) as fh:
-        graph = load_edge_list(fh.read())
-    palettes = None
-    if args.palettes:
-        with open(args.palettes) as fh:
-            palettes = load_palettes(fh.read())
+    try:
+        graph = _parse(args.graph, load_edge_list)
+        palettes = _parse(args.palettes, load_palettes) if args.palettes else None
+    except ValueError as exc:
+        print(f"verify: {exc}", file=sys.stderr)
+        return 2
     coloring = {}
     with open(args.coloring) as fh:
         for i, line in enumerate(fh, 1):
@@ -125,17 +129,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.spec) as fh:
-        spec = json.load(fh)
+    spec = _parse(args.spec, json.loads)
     rows = sweep(spec, outdir=args.out)
     print(f"{len(rows)} runs -> {os.path.join(args.out, 'results.csv')}")
     return 0
 
 
 def cmd_stats(args) -> int:
-    path = os.path.join(args.results, "results.csv")
-    with open(path) as fh:
-        rows = load_results_csv(fh.read())
+    rows = _parse(os.path.join(args.results, "results.csv"), load_results_csv)
     verdicts = stats_tests(rows)
     text = verdict_text(verdicts)
     out_path = os.path.join(args.results, "verdicts.csv")

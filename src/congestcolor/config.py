@@ -19,8 +19,12 @@ class SimConfig:
     def validate(self):
         if self.mode not in ("theory", "practical"):
             raise ValueError(f"unknown mode {self.mode}")
-        if self.b_factor < 1:
-            raise ValueError("b_factor must be >= 1")
+        for name, low in (("b_factor", 1), ("bandwidth_bits", 1), ("k4", 0), ("c_small", 0)):
+            value = getattr(self, name)
+            if value is not None and not value >= low:  # NaN fails too
+                raise ValueError(f"{name} must be >= {low}")
+        if not 0 < self.c_layer < float("inf"):
+            raise ValueError("c_layer must be finite and > 0")
         return self
 
     def to_text(self) -> str:

@@ -59,7 +59,7 @@ def layer_schedule(network: Network, delta: int | None = None) -> LayerSchedule:
     Probabilities are exact rationals (binary-float values promoted), so the
     residual p_0 = 1 - sum makes the total exactly 1. When even p_1 misses the
     floor — Delta below ~log^4 n — practical mode falls back to one layer of
-    the largest admissible size and records the deviation.
+    the largest admissible size, and the `layer_floor` precondition fails.
     """
     cfg = network.config
     if delta is None:
@@ -70,7 +70,6 @@ def layer_schedule(network: Network, delta: int | None = None) -> LayerSchedule:
     ratio = math.log(max(1.0 + 1e-9, math.sqrt(delta)), logn)
     t_prime = max(1, math.ceil(math.log(max(1.0 + 1e-9, ratio), 1.5)))
     tail = []
-    fallback = False
     if p1 < 1.0 and p1 >= floor:
         tail = [p1]
         i = 2
@@ -79,20 +78,20 @@ def layer_schedule(network: Network, delta: int | None = None) -> LayerSchedule:
             nxt = prev ** 1.5 if i <= t_prime else math.sqrt(prev / delta)
             if nxt < floor:
                 break
+            if nxt >= prev:  # p -> sqrt(p/Delta) is monotone: p never falls again
+                raise SimError(f"layer schedule never ends: c_layer * log2 n = "
+                               f"{cfg.c_layer} * {logn:.2f} <= 1")
             tail.append(nxt)
             i += 1
-    if not tail:
-        if cfg.mode == "theory":
-            raise SimError(
-                f"layer schedule needs Delta above ~log^4 n in theory mode "
-                f"(Delta={delta}, n={network.graph.n})"
-            )
-        fallback = True
+    fallback = not network.require(
+        "layer_floor", bool(tail),
+        f"layer schedule needs Delta above ~log^4 n in theory mode "
+        f"(Delta={delta}, n={network.graph.n})")
+    if fallback:
         lam_floor = cfg.c_layer * logn * logn
         tail = [min(0.5, lam_floor / delta)]
-        if network.trace is not None:
-            network.log(-1, "layer_fallback",
-                        f"t=1 p1={tail[0]:.5f} lam={delta * tail[0]:.1f}")
+        network.log(-1, "layer_fallback",
+                    f"t=1 p1={tail[0]:.5f} lam={delta * tail[0]:.1f}")
     probs = [Fraction(p) for p in tail]
     p0 = 1 - sum(probs)
     if p0 <= 0:
@@ -100,15 +99,12 @@ def layer_schedule(network: Network, delta: int | None = None) -> LayerSchedule:
     probs = [p0] + probs
     t = len(tail)
     lambdas = tuple(delta * float(p) for p in probs)
-    if cfg.mode == "theory":
-        c = cfg.c_layer
-        if lambdas[0] < delta / 4.0:
-            raise SimError(f"layer 0 too small: {lambdas[0]:.1f} < Delta/4")
-        if not c * logn <= lambdas[t] <= (c * logn) ** 2:
-            raise SimError(
-                f"last layer size {lambdas[t]:.1f} outside "
-                f"[{c * logn:.1f}, {(c * logn) ** 2:.1f}]"
-            )
+    c = cfg.c_layer
+    network.require("layer0_size", lambdas[0] >= delta / 4.0,
+                    f"layer 0 too small: {lambdas[0]:.1f} < Delta/4")
+    network.require("last_layer_band", c * logn <= lambdas[t] <= (c * logn) ** 2,
+                    f"last layer size {lambdas[t]:.1f} outside "
+                    f"[{c * logn:.1f}, {(c * logn) ** 2:.1f}]")
     return LayerSchedule(t_prime, t, tuple(probs), lambdas, fallback)
 
 

@@ -299,23 +299,26 @@ def make_palettes(
 
 
 def load_palettes(text: str) -> PaletteAssignment:
-    """Parse `U <size>` and `<node>: <colors>` lines. A node listed twice,
-    or a color outside [1, U] when U is given, is a ValueError naming the
-    node."""
+    """Parse `U <size>` and `<node>: <colors>` lines. A line that does not
+    parse, a node listed twice, or a color outside [1, U] when U is given, is
+    a ValueError naming the line or the node."""
     u_size = 0
     lists = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("U "):
-            u_size = int(line.split()[1])
-            continue
         head, _, tail = line.partition(":")
-        v = int(head)
+        try:
+            if line.startswith("U "):
+                u_size = int(line.split()[1])
+                continue
+            v, colors = int(head), frozenset(int(c) for c in tail.split())
+        except ValueError:
+            raise ValueError(f"malformed line {lineno}: {raw!r}") from None
         if v in lists:
-            raise ValueError(f"node {v} is listed twice")
-        lists[v] = frozenset(int(c) for c in tail.split())
+            raise ValueError(f"node {v} is listed twice at line {lineno}")
+        lists[v] = colors
     if u_size:
         for v, s in lists.items():
             if s and not 1 <= min(s) <= max(s) <= u_size:

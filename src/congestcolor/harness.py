@@ -42,6 +42,7 @@ class RunReport:
     trajectory: list = field(default_factory=list)
     acd_info: dict = field(default_factory=dict)
     overlay_info: dict = field(default_factory=dict)
+    preconditions: dict = field(default_factory=dict)  # analysis precondition -> held
 
     def to_json(self) -> str:
         payload = {
@@ -54,6 +55,7 @@ class RunReport:
             "colors_used": self.colors_used,
             "acd": self.acd_info,
             "overlay": self.overlay_info,
+            "preconditions": self.preconditions,
             "trajectory": self.trajectory,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -139,6 +141,7 @@ def run_pipeline(graph: Graph, palettes: PaletteAssignment, config: SimConfig,
         trajectory=trajectory,
         acd_info=acd_info,
         overlay_info=overlay_info,
+        preconditions=net.preconditions,
     )
 
 

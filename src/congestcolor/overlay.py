@@ -40,7 +40,7 @@ from .sim import Network, SimError
 _AND_BUDGET = 1 << 24
 # the paired rounds stop after ROUND_MULT * ceil(log2 log2 n) rounds
 ROUND_MULT = 2
-# theory-mode `route` refuses a node carrying more than LOAD_CAP * Delta units
+# `route` needs no node to carry more than LOAD_CAP * Delta units (`route_load_cap`)
 LOAD_CAP = 4
 
 
@@ -88,20 +88,15 @@ def compute_overlay(network: Network, clique, leader: int,
     finishing rounds; a pair still unserved after that is a hard failure.
     """
     g = network.graph
-    cfg = network.config
     members = frozenset(clique)
     if leader not in members:
         raise SimError("overlay leader must belong to the clique")
     if ac_id is None:
         ac_id = leader
-    if epsilon > 1.0 / 15.0:
-        if cfg.mode == "theory":
-            raise SimError(
-                f"overlay requires epsilon <= 1/15 in theory mode, got {epsilon}"
-            )
-        if network.trace is not None:
-            network.log(leader, "overlay_warn",
-                        f"epsilon {epsilon:.4f} above 1/15; slack margin not guaranteed")
+    if not network.require("overlay_epsilon", epsilon <= 1.0 / 15.0,
+                           f"overlay requires epsilon <= 1/15 in theory mode, got {epsilon}"):
+        network.log(leader, "overlay_warn",
+                    f"epsilon {epsilon:.4f} above 1/15; slack margin not guaranteed")
 
     # leader-rooted renumbering so members know |C| and all member IDs, after
     # which one neighbor-exchange round reveals each node's non-neighbors
@@ -291,8 +286,8 @@ class RoutingRequest:
 def route(network: Network, overlay: CliqueOverlay, requests) -> int:
     """Deliver the requests over direct edges and relay paths, greedily
     packing each edge up to the bit budget per round; returns rounds used.
-    A node carrying more than LOAD_CAP * Delta payload units is refused in
-    theory mode and logged as `route_over_cap` in practical mode."""
+    A node carrying more than LOAD_CAP * Delta payload units fails the
+    `route_load_cap` precondition (logged as `route_over_cap`)."""
     g = network.graph
     cap = LOAD_CAP * g.delta
     load = defaultdict(int)
@@ -301,12 +296,11 @@ def route(network: Network, overlay: CliqueOverlay, requests) -> int:
             raise SimError(f"routing request ({r.src},{r.dst}) leaves the clique")
         load[r.src] += r.size
         load[r.dst] += r.size
-    for v, l in load.items():
-        if l > cap:
-            if network.config.mode == "theory":
-                raise SimError(
-                    f"node {v} carries {l} payload units, above the cap {cap}"
-                )
+    over = [(v, l) for v, l in load.items() if l > cap]
+    detail = (f"node {over[0][0]} carries {over[0][1]} payload units, "
+              f"above the cap {cap}" if over else "")
+    if not network.require("route_load_cap", not over, detail):
+        for v, l in over:
             network.log(v, "route_over_cap", f"{l}>{cap}")
     if not requests:
         return 0

@@ -372,6 +372,7 @@ class Network:
         self.streams = Streams(seed_words([self.master_seed], np.arange(n)))
         self._tree_cache: dict = {}
         self.trace: list = [] if config.trace else None
+        self.preconditions: dict = {}   # name -> held; see `require`
 
     # -- accounting ---------------------------------------------------------
 
@@ -423,6 +424,14 @@ class Network:
 
         yield branch
         parent.join(branches.values())
+
+    def require(self, name: str, ok: bool, detail: str) -> bool:
+        """Record whether analysis precondition `name` held (every check of it
+        must); in theory mode an unmet one raises SimError(detail). Returns ok."""
+        self.preconditions[name] = self.preconditions.get(name, True) and bool(ok)
+        if not ok and self.config.mode == "theory":
+            raise SimError(detail)
+        return ok
 
     def log(self, node: int, event: str, detail: str = ""):
         if self.trace is not None:

@@ -56,7 +56,6 @@ class Cluster:
 @dataclass
 class ClusterDecomposition:
     classes: list                    # list of lists of Cluster
-    component: frozenset
 
     def all_clusters(self):
         for cls in self.classes:
@@ -157,7 +156,7 @@ def decompose_clusters(network: Network, component,
             classes.append([])
         c.class_index = slot
         classes[slot].append(c)
-    return ClusterDecomposition(classes, frozenset(comp))
+    return ClusterDecomposition(classes)
 
 
 def _adjacent(g, a, b):

@@ -85,6 +85,58 @@ def test_layer_theory_band():
     assert lambdas[0] >= 4096 / 4.0
 
 
+@pytest.mark.parametrize("mode", ["practical", "theory"])
+@pytest.mark.parametrize("c_layer", [0.05, 0.0])
+def test_layer_schedule_refuses_a_floor_it_never_reaches(mode, c_layer):
+    # with c_layer * log2 n <= 1 the floor c_layer*log2 n/Delta lies at or
+    # below 1/Delta, the limit of p -> sqrt(p/Delta), so the tail never ends
+    g = generate("cycle", {"n": 16383}, seed=0)
+    net = net_for(g, mode=mode)
+    net.config.c_layer = c_layer   # 0 fails validate(); set it past the check
+    with pytest.raises(SimError, match=rf"c_layer \* log2 n = {c_layer} \* 14\.00 <= 1$"):
+        layer_schedule(net, delta=128)
+
+
+def _tail_without_guard(p1, floor, t_prime, delta, steps=10_000):
+    """The layer tail as the loop computed it before it refused a floor it
+    never reaches; None when it is still running after `steps` steps."""
+    tail = [p1]
+    for i in range(2, steps):
+        prev = tail[-1]
+        nxt = prev ** 1.5 if i <= t_prime else math.sqrt(prev / delta)
+        if nxt < floor:
+            return tail
+        tail.append(nxt)
+    return None
+
+
+def test_layer_schedule_changes_no_schedule_that_ends():
+    checked = refused = 0
+    for n in (2 ** 10, 16383, 2 ** 16):
+        net = net_for(generate("cycle", {"n": n}, seed=0))
+        logn = dense_sparse._log2n(n)
+        for delta in (128, 512, 4096, 2 ** 20):
+            t_prime = max(1, math.ceil(math.log(max(1.0 + 1e-9, math.log(
+                math.sqrt(delta), logn)), 1.5)))
+            p1 = 1.0 / logn ** 1.5
+            for c_layer in (0.05, 0.1, 0.25, 0.5, 1.0, 2.0):
+                net.config.c_layer = c_layer
+                floor = c_layer * logn / delta
+                if not floor <= p1 < 1.0:
+                    continue
+                tail = _tail_without_guard(p1, floor, t_prime, delta)
+                if tail is None:
+                    refused += 1
+                    with pytest.raises(SimError, match="never ends"):
+                        layer_schedule(net, delta=delta)
+                else:
+                    checked += 1
+                    schedule = layer_schedule(net, delta=delta)
+                    assert [float(p) for p in schedule.probabilities[1:]] == tail
+                    assert schedule.t_prime == t_prime
+    assert checked >= 30 and refused >= 10
+
+
 def test_partition_sizes_near_expectation():
     g = generate(
         "planted_almost_cliques", {"k": 1, "delta": 512, "removal": 0.03}, seed=2

@@ -201,6 +201,25 @@ def test_cli_verify_rejects_malformed_coloring(tmp_path, capsys, text, problem):
     assert err == f"verify: {cpath} {problem}\n"
 
 
+@pytest.mark.parametrize("which, text, problem", [
+    ("palettes", "U 3\n0: 1 2\n0: 2 3\n", "node 0 is listed twice at line 3"),
+    ("palettes", "U 3\nx: 1 2 3\n", "malformed line 2: 'x: 1 2 3'"),
+    ("palettes", "U three\n0: 1 2\n", "malformed line 1: 'U three'"),
+    ("graph", "p edge 3 2\ne 1 9\n", "node id out of range at line 2"),
+])
+def test_cli_verify_rejects_malformed_graph_or_palettes(tmp_path, capsys, which,
+                                                        text, problem):
+    paths = {"graph": tmp_path / "g.col", "palettes": tmp_path / "p.txt"}
+    paths["graph"].write_text(save_edge_list(generate("path", {"n": 3}, seed=0)))
+    paths["palettes"].write_text("U 3\n0: 1 2\n1: 1 2\n2: 1 2\n")
+    paths[which].write_text(text)
+    cpath = tmp_path / "c.txt"
+    cpath.write_text("0 1\n1 2\n2 1\n")
+    assert main(["verify", "--graph", str(paths["graph"]), "--coloring", str(cpath),
+                 "--palettes", str(paths["palettes"])]) == 2
+    assert capsys.readouterr().err == f"verify: {paths[which]}: {problem}\n"
+
+
 def test_cli_verify_rejects_a_node_without_list(tmp_path, capsys):
     gpath = tmp_path / "g.col"
     gpath.write_text(save_edge_list(generate("path", {"n": 3}, seed=0)))

@@ -217,6 +217,26 @@ def test_config_text_round_trip():
             SimConfig.from_text(f"{key}=5\n")
 
 
+@pytest.mark.parametrize("field, value, problem", [
+    ("b_factor", 0, "b_factor must be >= 1"),
+    ("bandwidth_bits", 0, "bandwidth_bits must be >= 1"),
+    ("k4", -1, "k4 must be >= 0"),
+    ("c_small", -0.5, "c_small must be >= 0"),
+    ("c_small", float("nan"), "c_small must be >= 0"),
+    ("c_layer", 0.0, "c_layer must be finite and > 0"),
+    ("c_layer", -1.0, "c_layer must be finite and > 0"),
+    ("c_layer", float("nan"), "c_layer must be finite and > 0"),
+    ("c_layer", float("inf"), "c_layer must be finite and > 0"),
+])
+def test_config_validate_rejects_out_of_range_values(field, value, problem):
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        SimConfig(**{field: value}).validate()
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        SimConfig.from_text(f"{field}={value}\n")
+    # the edge of each range is accepted
+    SimConfig(b_factor=1, bandwidth_bits=1, k4=0, c_small=0.0, c_layer=1e-9).validate()
+
+
 def test_config_fields_are_pinned():
     """A field stays only while a caller outside tests/ sets or reads it, named
     beside it here; a value nobody varies is a constant beside its reader."""
