@@ -18,6 +18,7 @@ from .graphs import (
     verify_coloring,
 )
 from .harness import (
+    check_lists,
     load_results_csv,
     run_pipeline,
     stats_tests,
@@ -33,14 +34,18 @@ def _default_out() -> str:
     return os.environ.get(OUT_ENV, "results")
 
 
+class InputError(Exception):
+    """A named input file is missing or malformed: `<file>: <problem>`."""
+
+
 def _parse(path: str, parse):
-    """parse(the text of the file at path); a ValueError names the file."""
-    with open(path) as fh:
-        text = fh.read()
+    """parse(the text of the file at path); a file that cannot be read, or a
+    ValueError, is an InputError naming the file."""
     try:
-        return parse(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        with open(path) as fh:
+            return parse(fh.read())
+    except (OSError, ValueError) as exc:
+        raise InputError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _load_config(path: str | None, mode: str | None) -> SimConfig:
@@ -70,10 +75,8 @@ def cmd_run(args) -> int:
         print("run: need --graph or --gen", file=sys.stderr)
         return 2
     config = _load_config(args.config, args.mode)
-    if args.palettes:
-        palettes = _parse(args.palettes, load_palettes)
-    else:
-        palettes = make_palettes(graph, seed=args.seed + 1)
+    palettes = (_parse(args.palettes, lambda text: check_lists(graph, load_palettes(text)))
+                if args.palettes else make_palettes(graph, seed=args.seed + 1))
     report = run_pipeline(graph, palettes, config, args.seed)
     tag = f"run_n{graph.n}_d{graph.delta}_s{args.seed}"
     write_report(report, args.out, tag)
@@ -83,31 +86,25 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        graph = _parse(args.graph, load_edge_list)
-        palettes = _parse(args.palettes, load_palettes) if args.palettes else None
-    except ValueError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 2
+    graph = _parse(args.graph, load_edge_list)
+    palettes = _parse(args.palettes, load_palettes) if args.palettes else None
     coloring = {}
-    with open(args.coloring) as fh:
-        for i, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                v, c = map(int, line.split())
-                problem = (f"node {v} is listed twice" if v in coloring
-                           else f"node {v} is not in the {graph.n}-node graph"
-                           if not 0 <= v < graph.n
-                           else f"node {v} has no list in {args.palettes}"
-                           if palettes and v not in palettes.lists else "")
-            except ValueError:
-                problem = f"expected '<node> <color>', got {line.strip()!r}"
-            if problem:
-                print(f"verify: {args.coloring} line {i}: {problem}",
-                      file=sys.stderr)
-                return 2
-            coloring[v] = c
+    for i, line in enumerate(_parse(args.coloring, str.splitlines), 1):
+        if not line.strip():
+            continue
+        try:
+            v, c = map(int, line.split())
+            problem = (f"node {v} is listed twice" if v in coloring
+                       else f"node {v} is not in the {graph.n}-node graph"
+                       if not 0 <= v < graph.n
+                       else f"node {v} has no list in {args.palettes}"
+                       if palettes and v not in palettes.lists else "")
+        except ValueError:
+            problem = f"expected '<node> <color>', got {line.strip()!r}"
+        if problem:
+            print(f"verify: {args.coloring} line {i}: {problem}", file=sys.stderr)
+            return 2
+        coloring[v] = c
     if palettes is None:
         # no lists supplied: audit properness only, against a permissive list
         colors = set(coloring.values()) or {1}
@@ -129,15 +126,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = _parse(args.spec, json.loads)
-    rows = sweep(spec, outdir=args.out)
+    try:
+        rows = sweep(_parse(args.spec, json.loads), outdir=args.out)
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:  # an entry it cannot build
+        raise InputError(f"{args.spec}: {exc}") from None
     print(f"{len(rows)} runs -> {os.path.join(args.out, 'results.csv')}")
     return 0
 
 
 def cmd_stats(args) -> int:
-    rows = _parse(os.path.join(args.results, "results.csv"), load_results_csv)
-    verdicts = stats_tests(rows)
+    verdicts = _parse(os.path.join(args.results, "results.csv"),
+                      lambda text: stats_tests(load_results_csv(text)))
     text = verdict_text(verdicts)
     out_path = os.path.join(args.results, "verdicts.csv")
     with open(out_path, "w") as fh:
@@ -188,7 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

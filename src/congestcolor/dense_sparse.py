@@ -190,17 +190,15 @@ def synchronized_color_trial(network: Network, acd, overlays, layer: int,
                         for v in active if v != leader]
                 if ship:
                     route(network, overlays[ac], ship)
-                taken = set()
+                # the leader assigns in ascending-ID order
                 granted = []
-                for v in active:            # ascending-ID assignment order
-                    avail = [c for c in sub[v] if c not in taken]
-                    if not avail:
+                for v, c in zip(active, network.streams.distinct_picks(
+                        leader, [sub[v] for v in active])):
+                    if c is None:
                         failures += 1
                         if network.trace is not None:
                             network.log(v, "assignment_failure", f"layer={layer}")
                         continue
-                    c = avail[network.streams.integers([leader], [len(avail)]).item()]
-                    taken.add(c)
                     picks[v] = c
                     granted.append(v)
                 back = [RoutingRequest(leader, v, size=1)

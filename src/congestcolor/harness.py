@@ -66,9 +66,9 @@ def small_degree_branch(graph: Graph, config: SimConfig) -> bool:
     return graph.delta <= config.c_small * logn ** 4
 
 
-def _check_lists(graph: Graph, palettes: PaletteAssignment):
+def check_lists(graph: Graph, palettes: PaletteAssignment) -> PaletteAssignment:
     """Reject an instance in which some node has no list or fewer than
-    deg(v)+1 colors, naming the first such node."""
+    deg(v)+1 colors, naming the first such node; returns the lists."""
     lists = palettes.lists
     # list sizes, -1 for a node without a list
     sizes = np.fromiter((len(lists[v]) if v in lists else -1 for v in range(graph.n)),
@@ -79,11 +79,12 @@ def _check_lists(graph: Graph, palettes: PaletteAssignment):
     if sizes[v] <= graph.degrees[v]:
         raise ValueError(f"node {v} has {sizes[v]} colors, "
                          f"needs at least deg+1 = {graph.degrees[v] + 1}")
+    return palettes
 
 
 def run_pipeline(graph: Graph, palettes: PaletteAssignment, config: SimConfig,
                  seed: int) -> RunReport:
-    _check_lists(graph, palettes)
+    check_lists(graph, palettes)
     net = new_network(graph, palettes, config, seed)
     trajectory = []
     acd_info = {}

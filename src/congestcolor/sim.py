@@ -28,9 +28,9 @@ layer draws of `dense_sparse.partition_layers` are exactly
 `SeedSequence` hash for a whole array of node ids in one pass, and every
 draw goes through `Streams`, which holds numpy's PCG64 state of every row in
 arrays: `integers` and `random` replay `Generator.integers(high)` and
-`Generator.random()` for many rows in one pass, while `permutations` and
-`samples` run `Generator.permutation` and scalar `Generator.integers` on
-each row's state in turn. That hash and that generator
+`Generator.random()` for many rows in one pass, while the sequential draws
+run `Generator.permutation` and scalar `Generator.integers` on each row's
+state in turn. That hash and that generator
 are fixed and have not changed since numpy 1.17; `tests/test_rng_streams.py`
 checks the streams against `default_rng`.
 """
@@ -190,17 +190,18 @@ def _lcg(hi, lo, inc_hi, inc_lo):
 # the one generator `Streams._on_row` loads row states into: building a
 # generator costs more than a state round trip, so it is built once
 _SHUFFLER = np.random.Generator(np.random.PCG64(0))
+TAIL_ROWS = 64      # `Streams.redraws` goes row by row once this few rows are left
 
 
 class Streams:
     """The streams `np.random.default_rng(list(prefix) + [v])` of the rows of
     `seed_words(prefix, nodes)`, held in arrays: per row the 128-bit PCG64
     state and increment as uint64 halves, and numpy's flag and buffer for the
-    unused high half of a 32-bit draw. Four methods draw: `integers` and
-    `random` draw what `Generator.integers(high)` and `Generator.random()`
-    draw, for many rows in one pass, a row at most once per call;
-    `permutations` and `samples` draw on each row's state in turn, through
-    numpy's own generator, where a row may need many sequential draws."""
+    unused high half of a 32-bit draw. `integers` and `random` draw what
+    `Generator.integers(high)` and `Generator.random()` draw, for many rows
+    in one pass, a row at most once per call; `permutations`, `samples`,
+    `distinct_picks` and the tail of `redraws` make a row's many sequential
+    draws on its state in turn, through numpy's own generator."""
 
     def __init__(self, words):
         s_hi, s_lo, i_hi, i_lo = np.asarray(words, dtype=np.uint64).T
@@ -298,12 +299,42 @@ class Streams:
                 return np.flatnonzero(mask)[g.permutation(count)].tolist()
             mask, out = mask.tolist(), []
             while len(out) < count:
-                e = int(g.integers(len(mask)))
-                if mask[e] and e not in out:
-                    out.append(e)
+                out.append(_until(g, len(mask), lambda e: mask[e] and e not in out))
             return out
         return [self._on_row(r, lambda g: draw(g, m, c)) for r, m, c
                 in zip(self._rows(rows, once=False).tolist(), masks, counts)]
+
+    def redraws(self, rows, highs, starts, rejected) -> np.ndarray:
+        """Row rows[i] draws `integers(highs[i])` until the draw e leaves
+        rejected[starts[i] + e] unset, which some e in range must: array
+        passes while many rows redraw, then the last TAIL_ROWS one at a time."""
+        rows, out = self._rows(rows), np.zeros(len(rows), dtype=np.int64)
+        todo = np.arange(rows.size)
+        while todo.size > TAIL_ROWS:
+            out[todo] = self.integers(rows[todo], highs[todo])
+            todo = todo[rejected[starts[todo] + out[todo]]]
+        out[todo] = [self._on_row(r, lambda g: _until(g, h, lambda e: not rejected[a + e]))
+                     for r, h, a in zip(*(x[todo].tolist() for x in (rows, highs, starts)))]
+        return out
+
+    def distinct_picks(self, row: int, lists) -> list:
+        """Row `row` picks from each list in turn one of its k entries that
+        no earlier pick took, by `integers(k)`; None where none is left."""
+        def draw(g):
+            taken, out = set(), []
+            for entries in lists:
+                left = [c for c in entries if c not in taken]
+                out.append(left[int(g.integers(len(left)))] if left else None)
+                taken.add(out[-1])
+            return out
+        return self._on_row(self._rows([row]).item(), draw)
+
+
+def _until(g, high: int, accept) -> int:
+    """`g.integers(high)`, redrawn until accept(draw)."""
+    while not accept(e := int(g.integers(high))):
+        pass
+    return e
 
 
 def _bit_width(x: int) -> int:
@@ -489,17 +520,19 @@ class Network:
             i = int(np.argmax(bad))
             raise SimError(f"node {nodes[i]} recolored "
                            f"(had {self.color[nodes[i]]}, got {colors[i]})")
-        bad = ~self.in_palettes(nodes, colors)
-        if bad.any():
-            i = int(np.argmax(bad))
+        pos, found = self._find(nodes, colors)
+        found[found] = ~self.removed[pos[found]]
+        if not found.all():
+            i = int(np.argmin(found))
             raise SimError(f"node {nodes[i]} colored off-palette with {colors[i]}")
         if (np.diff(np.sort(nodes)) == 0).any():
             raise SimError("a node is colored twice in one batch")
         src, nbrs = self.graph.rows(nodes)
+        lens = self.graph.degrees[nodes]    # np.repeat(x, lens) is x[src], faster
         self.color[nodes] = colors
         # a live color is on no colored neighbor outside the batch, so any
         # neighbor with the same color now is a batch member
-        bad = self.color[nbrs] == colors[src]
+        bad = self.color[nbrs] == np.repeat(colors, lens)
         if bad.any():
             self.color[nodes] = -1
             i = int(np.argmax(bad))
@@ -508,15 +541,21 @@ class Network:
         if self.trace is not None:
             for v, c in zip(nodes.tolist(), colors.tolist()):
                 self.log(v, "color", str(c))
-        np.subtract.at(self.udeg, nbrs, 1)
-        # strip each new color from the neighbors' lists that hold it
-        pos, found = self._find(nbrs, colors[src])
-        gone, owner = pos[found], nbrs[found]
-        order = np.argsort(gone)
-        gone, owner = gone[order], owner[order]
-        fresh = ~self.removed[gone] & (np.diff(gone, prepend=-1) != 0)
-        self.removed[gone[fresh]] = True
-        np.subtract.at(self.live, owner[fresh], 1)
+        self.udeg -= np.bincount(nbrs, minlength=self.graph.n)
+        # strip each new color from the neighbors' lists: a neighbor on the
+        # winner's pool row holds it at the winner's offset; look the rest up
+        gone = self.pal_ptr[nbrs] + np.repeat(pos - self.pal_ptr[nodes], lens)
+        other = np.flatnonzero(self.list_id[nbrs] != np.repeat(self.list_id[nodes], lens))
+        gone[other], held = self._find(nbrs[other], colors[src[other]])
+        if not held.all():      # drop the neighbors whose lists lack the color
+            gone, nbrs = np.delete(gone, other[~held]), np.delete(nbrs, other[~held])
+        fresh = ~self.removed[gone]
+        # an entry that same-colored winners strip counts once, by the pair the scratch kept
+        pair = np.arange(gone.size, dtype=np.min_scalar_type(gone.size))
+        scratch = np.empty(self.removed.size, dtype=pair.dtype)
+        scratch[gone] = pair
+        self.removed[gone] = True
+        self.live -= np.bincount(nbrs[fresh & (scratch[gone] == pair)], minlength=self.graph.n)
 
     def coloring(self) -> dict:
         done = np.flatnonzero(self.color >= 0)

@@ -1,5 +1,5 @@
 """Basic randomized coloring primitives: color trials and slack generation.
-Every draw is an array draw on the node streams (`sim.Streams`)."""
+Every draw goes through the node streams (`sim.Streams`)."""
 
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ def try_color_round(network: Network, picks, phase: str = "rct") -> list:
     arr = np.full(g.n, -1, dtype=np.int64)
     arr[nodes] = cols
     lost = np.zeros(len(nodes), dtype=bool)
-    lost[src[arr[nbrs] == cols[src]]] = True
+    lost[src[arr[nbrs] == np.repeat(cols, g.degrees[nodes])]] = True
     winners = nodes[~lost]
     trial_msgs = int(network.udeg[nodes].sum())
     network.assign_colors(winners, cols[~lost])
@@ -62,15 +62,10 @@ def random_color_trial(network: Network, active, phase: str = "rct") -> list:
     if empty.any():
         raise SimError(f"node {active[np.argmax(empty)]} has an empty palette "
                        f"in {phase}")
-    # uniform entries of the full sorted lists, redrawn while removed: the
-    # `integers` draws `Streams.samples` makes for a count of 1
+    # uniform entries of the full sorted lists, redrawn while removed
     lo = network.pal_ptr[active]
-    size = network.pal_ptr[active + 1] - lo
-    offset = np.zeros(active.size, dtype=np.int64)
-    todo = np.arange(active.size)
-    while todo.size:
-        offset[todo] = network.streams.integers(active[todo], size[todo])
-        todo = todo[network.removed[lo[todo] + offset[todo]]]
+    offset = network.streams.redraws(active, network.pal_ptr[active + 1] - lo, lo,
+                                     network.removed)
     row = network.pool_ptr[network.list_id[active]]
     picks = np.column_stack([active, network.pool_colors[row + offset]])
     return try_color_round(network, picks, phase=phase)

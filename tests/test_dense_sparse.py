@@ -1,4 +1,5 @@
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -198,6 +199,40 @@ def test_sync_trial_candidates_distinct_in_clique():
     assert (net.color[layer1] >= 0).all()
     rep = verify_coloring(g, net.palettes, net.coloring(), allow_partial=True)
     assert rep.ok
+
+
+def test_sync_trial_leader_draws_as_one_call_per_member(monkeypatch):
+    """The leader's one `distinct_picks` pass per clique makes the draws that
+    one `Streams.integers` call per member made, with the same failures."""
+    def per_member(streams, row, lists):
+        taken, out = set(), []
+        for entries in lists:
+            left = [c for c in entries if c not in taken]
+            if not left:
+                out.append(None)
+                continue
+            out.append(left[streams.integers([row], [len(left)]).item()])
+            taken.add(out[-1])
+        return out
+
+    # one-color subpalettes collide often, so some members get none
+    monkeypatch.setattr(dense_sparse, "C_P", 0.05)
+    n = 48
+    runs = []
+    for loop in (False, True):
+        g, net, acd, overlays = single_clique_setup(n, trace=True)
+        if loop:
+            net.streams.distinct_picks = types.MethodType(per_member, net.streams)
+        net.layer[:] = np.arange(n) % 3 == 0
+        probs = (Fraction(2, 3), Fraction(1, 6), Fraction(1, 6))
+        schedule = LayerSchedule(1, 2, probs, tuple(47 * float(p) for p in probs))
+        res = [synchronized_color_trial(net, acd, overlays, 1, schedule,
+                                        clique_index(net, acd)) for _ in range(3)]
+        runs.append((res, net.coloring(), net.trace,
+                     [getattr(net.streams, a).tolist() for a in ("hi", "lo", "buf32")]))
+    assert runs[0] == runs[1]
+    assert sum(r["failures"] for r in runs[0][0]) > 0
+    assert any(e[2] == "assignment_failure" for e in runs[0][2])
 
 
 def test_sync_trial_layer_range_checked():

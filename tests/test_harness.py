@@ -233,6 +233,59 @@ def test_cli_verify_rejects_a_node_without_list(tmp_path, capsys):
     assert err == f"verify: {cpath} line 2: node 2 has no list in {ppath}\n"
 
 
+PATH3 = "p edge 3 2\ne 1 2\ne 2 3\n"          # the path 0 - 1 - 2
+
+
+@pytest.mark.parametrize("argv, name, text, problem", [
+    (["run", "--graph", "{f}"], "g.col", "p edge 3 2\ne 1 9\n",
+     "node id out of range at line 2"),
+    (["run", "--graph", "{f}"], "nope.col", None, "No such file or directory"),
+    (["run", "--gen", "path", "--n", "3", "--config", "{f}"], "bad.cfg", "k4=-1\n",
+     "k4 must be >= 0"),
+    (["run", "--gen", "path", "--n", "3", "--config", "{f}"], "bad.cfg", "k9=1\n",
+     "unknown config key k9"),
+    (["run", "--graph", "{g}", "--palettes", "{f}"], "p.txt",
+     "U 3\n0: 1 2\n0: 2 3\n", "node 0 is listed twice at line 3"),
+    (["run", "--graph", "{g}", "--palettes", "{f}"], "p.txt",
+     "U 3\n0: 1 2\n1: 1 2 3\n", "node 2 has no color list"),
+    (["sweep", "--spec", "{f}"], "spec.json", "{runs: []}",
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (["sweep", "--spec", "{f}"], "spec.json",
+     '{"runs": [{"model": "torus", "params": {"n": 4}}]}',
+     "unknown graph model: torus"),
+    (["sweep", "--spec", "{f}"], "spec.json",
+     '{"runs": [{"model": "cycle", "params": {"n": 5}, "config": {"k4": -1}}]}',
+     "k4 must be >= 0"),
+    (["sweep", "--spec", "{f}"], "nope.json", None, "No such file or directory"),
+    (["stats", "--results", "{d}"], "results.csv", "model,n\n1,2\n",
+     "unrecognized results header"),
+    (["stats", "--results", "{d}"], "results.csv", None, "No such file or directory"),
+    (["verify", "--graph", "{f}", "--coloring", "{c}"], "nope.col", None,
+     "No such file or directory"),
+    (["verify", "--graph", "{g}", "--coloring", "{f}"], "nope.txt", None,
+     "No such file or directory"),
+], ids=[
+    "run-graph-bad-edge", "run-graph-missing", "run-config-bad-value",
+    "run-config-bad-key", "run-palettes-twice", "run-palettes-short",
+    "sweep-spec-not-json", "sweep-spec-bad-model", "sweep-spec-bad-config",
+    "sweep-spec-missing", "stats-bad-header", "stats-missing",
+    "verify-graph-missing", "verify-coloring-missing"
+])
+def test_cli_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, name,
+                                               text, problem):
+    """Every command names the file and the problem on one line, exit 2."""
+    (tmp_path / "g.col").write_text(PATH3)
+    (tmp_path / "c.txt").write_text("0 1\n1 2\n2 1\n")
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    args = [a.format(f=path, g=tmp_path / "g.col", c=tmp_path / "c.txt",
+                     d=tmp_path) for a in argv]
+    assert main(args + ["--out", str(tmp_path / "out")]
+                if argv[0] in ("run", "sweep") else args) == 2
+    assert capsys.readouterr().err == f"{argv[0]}: {path}: {problem}\n"
+
+
 def test_results_csv_header_check():
     with pytest.raises(ValueError, match="header"):
         load_results_csv("nope\n1,2\n")

@@ -4,8 +4,8 @@
 and `sim.Streams` holds the PCG64 state of every row in arrays. Every node
 stream and every layer draw must be the stream
 `np.random.default_rng(list(prefix) + [v])` builds: same draws, in the same
-order, for any mix of the draw kinds (`integers`, `random`, `permutations`
-and `samples`).
+order, for any mix of the draw kinds (`integers`, `random`, `permutations`,
+`samples`, `redraws` and `distinct_picks`).
 """
 
 import ast
@@ -184,6 +184,50 @@ def masked_counts(draw):
     return mask, count
 
 
+def ref_redraw(rng, rejected):
+    """`Streams.redraws` for one row, written against a generator."""
+    e = int(rng.integers(len(rejected)))
+    while rejected[e]:
+        e = int(rng.integers(len(rejected)))
+    return e
+
+
+def ref_distinct_picks(rng, lists):
+    """`Streams.distinct_picks`, written against a generator."""
+    taken, out = set(), []
+    for entries in lists:
+        left = [c for c in entries if c not in taken]
+        if not left:
+            out.append(None)
+            continue
+        out.append(left[int(rng.integers(len(left)))])
+        taken.add(out[-1])
+    return out
+
+
+def redraw_rows(streams, rows, masks) -> list:
+    """`Streams.redraws` with row i's entries at masks[i] in one flat mask."""
+    sizes = np.array([m.size for m in masks], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    flat = np.concatenate(masks) if masks else np.zeros(0, dtype=bool)
+    return streams.redraws(rows, sizes, starts, flat).tolist()
+
+
+@st.composite
+def rejections(draw):
+    """A mask of 1 to 600 entries, none to all but one of them rejected."""
+    size = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 600)))
+    p = draw(st.sampled_from([0.0, 0.5, 0.95, 1.0]))
+    mask = np.random.default_rng(draw(st.integers(0, 2 ** 32))).random(size) < p
+    mask[draw(st.integers(0, size - 1))] = False
+    return mask
+
+
+# the lists a leader assigns from: overlapping, some empty or used up
+pick_lists = st.lists(st.lists(st.integers(0, 12), unique=True, max_size=6),
+                      max_size=8)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 40), st.data())
 def test_array_streams_equal_generator_draws(seed, data):
@@ -191,7 +235,7 @@ def test_array_streams_equal_generator_draws(seed, data):
     refs = [np.random.default_rng([seed, r]) for r in range(ROWS)]
     for _ in range(data.draw(st.integers(1, 12))):
         kind = data.draw(st.sampled_from(["integers", "random", "permutations",
-                                          "samples"]))
+                                          "samples", "redraws", "distinct_picks"]))
         if kind == "integers":
             rows = data.draw(row_sets)
             hs = data.draw(st.lists(highs, min_size=len(rows), max_size=len(rows)))
@@ -205,12 +249,35 @@ def test_array_streams_equal_generator_draws(seed, data):
             ks = data.draw(st.lists(sizes, min_size=len(rows), max_size=len(rows)))
             got = [p.tolist() for p in streams.permutations(rows, ks)]
             assert got == [refs[r].permutation(k).tolist() for r, k in zip(rows, ks)]
-        else:
+        elif kind == "samples":
             rows = data.draw(row_lists)
             cases = [data.draw(masked_counts()) for _ in rows]
             got = streams.samples(rows, [m for m, _ in cases], [c for _, c in cases])
             assert got == [ref_samples(refs[r], m, c) for r, (m, c) in zip(rows, cases)]
+        elif kind == "redraws":
+            rows = data.draw(row_sets)
+            masks = [data.draw(rejections()) for _ in rows]
+            assert redraw_rows(streams, rows, masks) == \
+                [ref_redraw(refs[r], m) for r, m in zip(rows, masks)]
+        else:
+            row, lists = data.draw(st.integers(0, ROWS - 1)), data.draw(pick_lists)
+            assert streams.distinct_picks(row, lists) == \
+                ref_distinct_picks(refs[row], lists)
     assert streams.random(np.arange(ROWS)).tolist() == [g.random() for g in refs]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 40), st.data())
+def test_redraws_equal_generator_draws_past_the_tail(seed, data):
+    # more rows than TAIL_ROWS: array passes first, then the tail row by row
+    rows = data.draw(st.lists(st.integers(0, 299), unique=True,
+                              min_size=sim.TAIL_ROWS + 1, max_size=300))
+    streams = Streams(seed_words([seed], np.arange(300)))
+    refs = [np.random.default_rng([seed, r]) for r in range(300)]
+    masks = [data.draw(rejections()) for _ in rows]
+    assert redraw_rows(streams, rows, masks) == \
+        [ref_redraw(refs[r], m) for r, m in zip(rows, masks)]
+    assert streams.random(np.arange(300)).tolist() == [g.random() for g in refs]
 
 
 @settings(max_examples=100, deadline=None)
@@ -245,7 +312,10 @@ def test_bad_calls_are_refused_without_drawing():
                  lambda: streams.permutations([1, 6], [3, 3]),
                  lambda: streams.samples([1, 2], [[1, 1], [1, 0]], [1, 2]),
                  lambda: streams.samples([1], [[1, 1]], [-1]),
-                 lambda: streams.samples([6], [[1]], [1])):
+                 lambda: streams.samples([6], [[1]], [1]),
+                 lambda: redraw_rows(streams, [1, 1], [np.zeros(2, dtype=bool)] * 2),
+                 lambda: redraw_rows(streams, [6], [np.zeros(1, dtype=bool)]),
+                 lambda: streams.distinct_picks(6, [[1, 2]])):
         with pytest.raises(ValueError):
             call()
     assert streams.random(np.arange(6)).tolist() == \
