@@ -18,9 +18,9 @@ pair's row of a pruned mask, which permanent rejections mark. Every round's
 proposals are adjudicated in one array pass over (pair, relay) entries.
 
 The node streams see a fixed sequence of draws. In each capped round, every
-pending pair makes one `integers` call on its handler's stream, a handler's
-pairs in non-edge order: pass j of the round draws for the j-th pending pair
-of every handler in one `Streams.integers` call. Each finishing round is one
+pending pair makes one `integers` draw on its handler's stream, a handler's
+pairs in non-edge order: the round is one `Streams.integers` call over the
+pending pairs' handlers, in non-edge order. Each finishing round is one
 `Streams.permutations` call over the pending pairs' handlers, in non-edge
 order: a pair's candidates are the first entries of a permutation of its
 apparent palette.
@@ -180,13 +180,8 @@ def compute_overlay(network: Network, clique, leader: int,
         sizes[t] = apparent.sum(axis=1)
         empty = np.flatnonzero(sizes == 0)
         stop = empty[0] if empty.size else len(pending)
-        # pass j draws for every handler's j-th pending pair
-        draws = np.zeros(len(pending), dtype=np.int64)
-        order = np.argsort(h[:stop], kind="stable")
-        _, first, lens = np.unique(h[order], return_index=True, return_counts=True)
-        for j in range(lens.max(initial=0)):
-            sel = order[first[lens > j] + j]
-            draws[sel] = network.streams.integers(ms[h[sel]], sizes[sel])
+        # one call: each handler draws for its pending pairs in non-edge order
+        draws = network.streams.integers(ms[h[:stop]], sizes[:stop])
         if stop < len(pending):
             raise exhausted(pending[stop])
         w = nbr_col[nbr_ptr[h] + draws]

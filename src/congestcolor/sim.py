@@ -28,9 +28,10 @@ layer draws of `dense_sparse.partition_layers` are exactly
 `SeedSequence` hash for a whole array of node ids in one pass, and every
 draw goes through `Streams`, which holds numpy's PCG64 state of every row in
 arrays: `integers` and `random` replay `Generator.integers(high)` and
-`Generator.random()` for many rows in one pass, while the sequential draws
-run `Generator.permutation` and scalar `Generator.integers` on each row's
-state in turn. That hash and that generator
+`Generator.random()` for many rows in one pass, and `integers` takes a row
+several times, computing the row's next states by LCG jump-ahead; the
+sequential draws run `Generator.permutation` and scalar `Generator.integers`
+on each row's state in turn. That hash and that generator
 are fixed and have not changed since numpy 1.17; `tests/test_rng_streams.py`
 checks the streams against `default_rng`.
 """
@@ -173,18 +174,53 @@ def seed_words(prefix, nodes) -> np.ndarray:
 # numpy's PCG64 (O'Neill 2014): a 128-bit LCG with this multiplier, stepped
 # before each 64-bit output, which is the XSL-RR of the new state
 _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_PCG_MULT = _PCG_MULT_HI << 64 | _PCG_MULT_LO
 
 
-def _lcg(hi, lo, inc_hi, inc_lo):
-    """state * multiplier + inc mod 2**128 on (hi, lo) uint64 arrays; the
-    high half of lo * multiplier is summed from 32-bit limbs."""
-    a0, a1 = lo & _MASK32, lo >> 32
-    b0, b1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    new_lo = lo * _PCG_MULT_LO + inc_lo
-    return (a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + lo * _PCG_MULT_HI
-            + hi * _PCG_MULT_LO + inc_hi + (new_lo < inc_lo)), new_lo
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """a * b mod 2**128 on uint64 halves, a_lo * b_lo's high half from 32-bit limbs."""
+    a0, a1 = a_lo & _MASK32, a_lo >> 32
+    b0, b1 = b_lo & _MASK32, b_lo >> 32
+    t = a1 * b0 + (a0 * b0 >> 32)
+    u = a0 * b1 + (t & _MASK32)
+    return a1 * b1 + (t >> 32) + (u >> 32) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+def _lcg(hi, lo, inc_hi, inc_lo, m_hi=_PCG_MULT_HI, m_lo=_PCG_MULT_LO):
+    """state * m + inc mod 2**128 on uint64 halves; one LCG step by default."""
+    hi, lo = _mul128(hi, lo, m_hi, m_lo)
+    lo += inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
+
+
+# jump table column k: M**k and M**0 + ... + M**(k-1) mod 2**128, as uint64 halves
+_JUMPS = np.array([[0], [1], [0], [0]], dtype=np.uint64)
+
+
+def _advance(hi, lo, inc_hi, inc_lo, k):
+    """The states k[i] LCG steps on, by the jump table (Brown 1994), grown if need be."""
+    global _JUMPS
+    if _JUMPS.shape[1] <= np.max(k, initial=0):
+        a, c = (x << 64 | y for x, y in _JUMPS[:, -1].reshape(2, 2).tolist())
+        more = []
+        for _ in range(_JUMPS.shape[1], max(np.max(k) + 1, 2 * _JUMPS.shape[1])):
+            a, c = a * _PCG_MULT % (1 << 128), (c * _PCG_MULT + 1) % (1 << 128)
+            more.append(divmod(a, 1 << 64) + divmod(c, 1 << 64))
+        _JUMPS = np.concatenate([_JUMPS, np.array(more, dtype=np.uint64).T], axis=1)
+    a_hi, a_lo, c_hi, c_lo = _JUMPS[:, k]
+    return _lcg(hi, lo, *_mul128(inc_hi, inc_lo, c_hi, c_lo), a_hi, a_lo)
+
+
+def _output(hi, lo):
+    """PCG64's 64-bit output of a state: the XSL-RR of its halves."""
+    x, rot = hi ^ lo, hi >> 58
+    return x >> rot | x << ((64 - rot) & 63)
+
+
+def _repeats(rows) -> bool:
+    """Whether a row is listed twice; rows in ascending order skip the sort."""
+    return rows.size > 1 and (rows[1:] <= rows[:-1]).any() \
+        and (np.diff(np.sort(rows)) == 0).any()
 
 
 # the one generator `Streams._on_row` loads row states into: building a
@@ -199,9 +235,10 @@ class Streams:
     state and increment as uint64 halves, and numpy's flag and buffer for the
     unused high half of a 32-bit draw. `integers` and `random` draw what
     `Generator.integers(high)` and `Generator.random()` draw, for many rows
-    in one pass, a row at most once per call; `permutations`, `samples`,
-    `distinct_picks` and the tail of `redraws` make a row's many sequential
-    draws on its state in turn, through numpy's own generator."""
+    in one pass; `integers` takes a row several times, `random` once per
+    call. `permutations`, `samples`, `distinct_picks` and the tail of
+    `redraws` make a row's many sequential draws on its state in turn,
+    through numpy's own generator."""
 
     def __init__(self, words):
         s_hi, s_lo, i_hi, i_lo = np.asarray(words, dtype=np.uint64).T
@@ -218,8 +255,7 @@ class Streams:
         bad = (rows < 0) | (rows >= self.hi.size)
         if bad.any():
             raise ValueError(f"no row {rows[bad][0]} in {self.hi.size} streams")
-        if once and rows.size > 1 and (rows[1:] <= rows[:-1]).any() \
-                and (np.diff(np.sort(rows)) == 0).any():
+        if once and _repeats(rows):
             raise ValueError("a row appears twice in one call")
         return rows
 
@@ -227,8 +263,7 @@ class Streams:
         hi, lo = _lcg(self.hi[rows], self.lo[rows],
                       self.inc_hi[rows], self.inc_lo[rows])
         self.hi[rows], self.lo[rows] = hi, lo
-        x, rot = hi ^ lo, hi >> 58
-        return x >> rot | x << ((64 - rot) & 63)
+        return _output(hi, lo)
 
     def _next32(self, rows):
         fresh = ~self.has32[rows]
@@ -240,20 +275,60 @@ class Streams:
         return out
 
     def integers(self, rows, highs) -> np.ndarray:
-        """Row rows[i] draws `integers(highs[i])`, 1 <= highs[i] <= 2**32:
-        Lemire's multiply-and-reject on 32-bit draws (Lemire 2019), redrawn
-        only by the rows that reject. A high of 1 draws nothing."""
-        rows, highs = self._rows(rows), np.asarray(highs, dtype=np.int64)
+        """Row rows[i] draws `integers(highs[i])`, 1 <= highs[i] <= 2**32, in
+        list order: Lemire's multiply-and-reject on 32-bit draws (Lemire
+        2019), in lockstep passes that only rejecting rows redraw, or by
+        `_sequences` if a row is listed twice. A high of 1 draws nothing."""
+        rows, highs = self._rows(rows, once=False), np.asarray(highs, dtype=np.int64)
         if highs.size and not 1 <= highs.min() <= highs.max() <= 1 << 32:
             raise ValueError("integers needs 1 <= high <= 2**32")
         highs = highs.astype(np.uint64)
         out = np.zeros(rows.size, dtype=np.int64)
+        if _repeats(rows):
+            return self._sequences(rows, highs, out)
         todo = np.flatnonzero(highs > 1)
         while todo.size:
             m = self._next32(rows[todo]) * highs[todo]
             ok = (m & _MASK32) >= (1 << 32) % highs[todo]
             out[todo[ok]] = m[ok] >> 32
             todo = todo[~ok]
+        return out
+
+    def _sequences(self, rows, highs, out) -> np.ndarray:
+        """`integers` with a row listed twice: every row's next 32-bit words
+        at once by jump-ahead, and Lemire's test on all of them. A row with a
+        rejected word draws its whole sequence again on numpy's generator,
+        whose `integers(highs)` draws what one call per high would."""
+        e = np.flatnonzero(highs > 1)
+        e = e[np.argsort(rows[e], kind="stable")]      # by row, in list order
+        r = rows[e]
+        first = np.flatnonzero(np.diff(r, prepend=-1))    # each row's first draw
+        counts = np.diff(first, append=r.size)
+        # draw i takes word w[i] of its row: -1 is the buffered word, then the
+        # outputs' halves, low first. A low half computes its output w // 2 + 1
+        # steps ahead; a leading buffered word computes the row's own state
+        w = np.arange(e.size) - np.repeat(first, counts) - self.has32[r]
+        low = w & 1 == 0
+        fresh = low | (w < 0)
+        at = r[fresh]
+        hi, lo = _advance(self.hi[at], self.lo[at], self.inc_hi[at], self.inc_lo[at],
+                          w[fresh] // 2 + 1)
+        step = np.cumsum(fresh) - 1                    # the output draw i takes
+        x = _output(hi, lo)[step]
+        words = np.where(low, x & _MASK32, x >> 32)
+        words[w < 0] = self.buf32[r[w < 0]]
+        h = highs[e]
+        m = words * h
+        out[e] = m >> 32
+        redo = np.logical_or.reduceat((m & _MASK32) < (1 << 32) % h, first)
+        last = (first + counts - 1)[~redo]             # each kept row's last draw
+        self.hi[r[last]], self.lo[r[last]] = hi[step[last]], lo[step[last]]
+        self.buf32[r[last[w[last] >= 0]]] = x[last[w[last] >= 0]] >> 32
+        self.has32[r[last]] = low[last]
+        for i in np.flatnonzero(redo).tolist():
+            sel = e[first[i]:first[i] + counts[i]]
+            out[sel] = self._on_row(r.item(first[i]),
+                                    lambda g: g.integers(highs[sel].astype(np.int64)))
         return out
 
     def random(self, rows) -> np.ndarray:
@@ -512,7 +587,10 @@ class Network:
         palette, and no two adjacent nodes may get the same color; then the
         end state equals that of assigning them one at a time."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        colors = np.asarray(colors, dtype=np.int64)
+        self._assign(nodes, np.asarray(colors, dtype=np.int64), self.graph.rows(nodes)[1])
+
+    def _assign(self, nodes, colors, nbrs):
+        """`assign_colors` with the neighbors `graph.rows(nodes)[1]` in hand."""
         if not nodes.size:
             return
         bad = self.color[nodes] >= 0
@@ -527,17 +605,17 @@ class Network:
             raise SimError(f"node {nodes[i]} colored off-palette with {colors[i]}")
         if (np.diff(np.sort(nodes)) == 0).any():
             raise SimError("a node is colored twice in one batch")
-        src, nbrs = self.graph.rows(nodes)
-        lens = self.graph.degrees[nodes]    # np.repeat(x, lens) is x[src], faster
+        lens = self.graph.degrees[nodes]    # np.repeat(x, lens): x per (node, neighbor) pair
         self.color[nodes] = colors
         # a live color is on no colored neighbor outside the batch, so any
         # neighbor with the same color now is a batch member
-        bad = self.color[nbrs] == np.repeat(colors, lens)
+        pair_colors = np.repeat(colors, lens)
+        bad = self.color[nbrs] == pair_colors
         if bad.any():
             self.color[nodes] = -1
             i = int(np.argmax(bad))
-            raise SimError(f"adjacent nodes {nodes[src[i]]} and {nbrs[i]} "
-                           f"both colored {colors[src[i]]}")
+            raise SimError(f"adjacent nodes {np.repeat(nodes, lens)[i]} and {nbrs[i]} "
+                           f"both colored {pair_colors[i]}")
         if self.trace is not None:
             for v, c in zip(nodes.tolist(), colors.tolist()):
                 self.log(v, "color", str(c))
@@ -546,7 +624,7 @@ class Network:
         # winner's pool row holds it at the winner's offset; look the rest up
         gone = self.pal_ptr[nbrs] + np.repeat(pos - self.pal_ptr[nodes], lens)
         other = np.flatnonzero(self.list_id[nbrs] != np.repeat(self.list_id[nodes], lens))
-        gone[other], held = self._find(nbrs[other], colors[src[other]])
+        gone[other], held = self._find(nbrs[other], pair_colors[other])
         if not held.all():      # drop the neighbors whose lists lack the color
             gone, nbrs = np.delete(gone, other[~held]), np.delete(nbrs, other[~held])
         fresh = ~self.removed[gone]

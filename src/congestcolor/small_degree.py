@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
 from .sim import Network, SimError
 from .trials import trial_loop
@@ -199,6 +198,7 @@ def _field(n_bound: int, u_size: int) -> tuple:
     """(c0, p, degree) of the reduction: the smallest workable c0, the prime
     field size p and the polynomial degree whose family covers the U colors.
     A pure function of (N, U), computed once per pair."""
+    import sympy        # slow to import, and only these two paths need it
     c0 = _minimal_c0(n_bound, u_size)
     while True:
         p = int(sympy.nextprime(n_bound ** c0 / 2.0))
@@ -245,6 +245,7 @@ def _roots_mod_p(coeffs, p):
         return np.nonzero(acc == 0)[0].tolist()
     if len(cs) == 2:
         return [(-cs[0] * pow(cs[1], -1, p)) % p]
+    import sympy
     x = sympy.Symbol("x")
     poly = sympy.Poly([int(c) for c in reversed(cs)], x, modulus=p)
     return sorted(int(r) % p for r in poly.ground_roots())
@@ -422,13 +423,8 @@ def _packed_trials(network: Network, groups: list, instances: int,
         r, i = np.nonzero(act)
         if not r.size:
             break
-        # pass j draws every row's j-th open instance: rows draw in order
-        rank = np.arange(r.size) - np.searchsorted(r, r)
-        draws = np.empty(r.size, dtype=np.int64)
-        for j in range(rank.max() + 1):
-            sel = np.flatnonzero(rank == j)
-            draws[sel] = network.streams.integers(nodes[r[sel]],
-                                                  highs[r[sel], i[sel]])
+        # one call: each row draws for its open instances in instance order
+        draws = network.streams.integers(nodes[r], highs[r, i])
         # each open (row, instance) picks its draws-th live color
         pick = np.full(got.shape, -1, dtype=np.int64)
         pick[act] = red[r, np.argmax(

@@ -43,7 +43,8 @@ def try_color_round(network: Network, picks, phase: str = "rct") -> list:
     lost[src[arr[nbrs] == np.repeat(cols, g.degrees[nodes])]] = True
     winners = nodes[~lost]
     trial_msgs = int(network.udeg[nodes].sum())
-    network.assign_colors(winners, cols[~lost])
+    # the winners' neighbors, cut from the picks' rows
+    network._assign(winners, cols[~lost], nbrs[~lost[src]])
     perm_msgs = int(g.degrees[winners].sum())
     rounds = 2 * network.chunks(network.color_bits)
     network.charge_phase(

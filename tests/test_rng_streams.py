@@ -5,7 +5,8 @@ and `sim.Streams` holds the PCG64 state of every row in arrays. Every node
 stream and every layer draw must be the stream
 `np.random.default_rng(list(prefix) + [v])` builds: same draws, in the same
 order, for any mix of the draw kinds (`integers`, `random`, `permutations`,
-`samples`, `redraws` and `distinct_picks`).
+`samples`, `redraws` and `distinct_picks`), with `integers` taking a row
+several times in one call.
 """
 
 import ast
@@ -149,11 +150,14 @@ def test_out_of_range_ids_are_refused():
 
 
 ROWS = 12
-# 2**31 + 1 rejects about half of its 32-bit draws
+# 2**31 + 1 rejects about half of its 32-bit draws, and highs above it
+# reject fewer, down to none at 2**32: a row that draws several times then
+# redraws its sequence on the generator
 highs = st.one_of(st.integers(1, 300),
-                  st.sampled_from([2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32]))
+                  st.sampled_from([2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32]),
+                  st.integers(2 ** 31 + 1, 2 ** 32))
 row_sets = st.lists(st.integers(0, ROWS - 1), unique=True, max_size=ROWS)
-# permutations take a row more than once; sizes 0 and 1 draw nothing
+# integers and permutations take a row more than once; sizes 0 and 1 draw nothing
 row_lists = st.lists(st.integers(0, ROWS - 1), max_size=ROWS)
 sizes = st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 600))
 
@@ -237,7 +241,7 @@ def test_array_streams_equal_generator_draws(seed, data):
         kind = data.draw(st.sampled_from(["integers", "random", "permutations",
                                           "samples", "redraws", "distinct_picks"]))
         if kind == "integers":
-            rows = data.draw(row_sets)
+            rows = data.draw(row_lists)
             hs = data.draw(st.lists(highs, min_size=len(rows), max_size=len(rows)))
             assert streams.integers(rows, hs).tolist() == \
                 [int(refs[r].integers(h)) for r, h in zip(rows, hs)]
@@ -263,7 +267,48 @@ def test_array_streams_equal_generator_draws(seed, data):
             row, lists = data.draw(st.integers(0, ROWS - 1)), data.draw(pick_lists)
             assert streams.distinct_picks(row, lists) == \
                 ref_distinct_picks(refs[row], lists)
+    assert_states_equal(streams, refs)
     assert streams.random(np.arange(ROWS)).tolist() == [g.random() for g in refs]
+
+
+def assert_states_equal(streams, refs):
+    """Row r holds refs[r]'s whole state: the LCG state and numpy's 32-bit
+    buffer with its flag, whether or not the flag is set."""
+    for r, g in enumerate(refs):
+        st = g.bit_generator.state
+        assert (streams.hi.item(r) << 64 | streams.lo.item(r),
+                bool(streams.has32[r]), streams.buf32.item(r)) == \
+            (st["state"]["state"], bool(st["has_uint32"]), st["uinteger"]), r
+
+
+def test_integers_draw_long_sequences_per_row_in_list_order():
+    # 200 draws per row, the rows interleaved: each row's draws come from
+    # one jump-ahead pass, or its redrawn sequence where a word is rejected
+    streams = Streams(seed_words([21], np.arange(ROWS)))
+    refs = [np.random.default_rng([21, r]) for r in range(ROWS)]
+    rows = np.tile(np.arange(ROWS), 200)
+    hs = np.random.default_rng(5).choice([1, 2, 7, 300, 2 ** 20, 2 ** 32], rows.size)
+    hs[rows == 3] = 2 ** 31 + 1         # row 3 rejects about half its words
+    hs[rows == 4] = 1                   # row 4 draws nothing
+    for call in (slice(0, 1), slice(1, 1000), slice(1000, None)):
+        assert streams.integers(rows[call], hs[call]).tolist() == \
+            [int(refs[r].integers(h)) for r, h in zip(rows[call], hs[call])]
+        assert_states_equal(streams, refs)
+    assert streams.integers([1, 2, 1], [3, 3, 3]).tolist() == \
+        [int(refs[r].integers(3)) for r in (1, 2, 1)]
+    assert_states_equal(streams, refs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 31, 1000])
+def test_jump_table_equals_pcg64_advance(k):
+    streams = Streams(seed_words([8], [0, 5]))
+    for r in range(2):
+        bits = np.random.PCG64(np.random.SeedSequence([8, 5 * r]))
+        bits.advance(k)
+        hi, lo = sim._advance(streams.hi[r:r + 1], streams.lo[r:r + 1],
+                              streams.inc_hi[r:r + 1], streams.inc_lo[r:r + 1],
+                              np.array([k]))
+        assert hi.item() << 64 | lo.item() == bits.state["state"]["state"]
 
 
 @settings(max_examples=20, deadline=None)
@@ -302,8 +347,7 @@ def test_permutations_equal_default_rng(seed, data):
 
 def test_bad_calls_are_refused_without_drawing():
     streams = Streams(seed_words([4], np.arange(6)))
-    for call in (lambda: streams.integers([1, 2, 1], [3, 3, 3]),
-                 lambda: streams.random([5, 5]),
+    for call in (lambda: streams.random([5, 5]),
                  lambda: streams.integers([1, 2], [3, 0]),
                  lambda: streams.integers([1], [-1]),
                  lambda: streams.integers([1], [2 ** 32 + 1]),
