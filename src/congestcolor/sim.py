@@ -587,10 +587,12 @@ class Network:
         palette, and no two adjacent nodes may get the same color; then the
         end state equals that of assigning them one at a time."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        self._assign(nodes, np.asarray(colors, dtype=np.int64), self.graph.rows(nodes)[1])
+        self.assign_colors_with_rows(nodes, np.asarray(colors, dtype=np.int64),
+                                     self.graph.rows(nodes)[1])
 
-    def _assign(self, nodes, colors, nbrs):
-        """`assign_colors` with the neighbors `graph.rows(nodes)[1]` in hand."""
+    def assign_colors_with_rows(self, nodes, colors, nbrs):
+        """`assign_colors` on int64 arrays and all its checks, given `nbrs` =
+        `graph.rows(nodes)[1]` (`trials.try_color_round` cuts it from its own)."""
         if not nodes.size:
             return
         bad = self.color[nodes] >= 0

@@ -44,7 +44,7 @@ def try_color_round(network: Network, picks, phase: str = "rct") -> list:
     winners = nodes[~lost]
     trial_msgs = int(network.udeg[nodes].sum())
     # the winners' neighbors, cut from the picks' rows
-    network._assign(winners, cols[~lost], nbrs[~lost[src]])
+    network.assign_colors_with_rows(winners, cols[~lost], nbrs[~lost[src]])
     perm_msgs = int(g.degrees[winners].sum())
     rounds = 2 * network.chunks(network.color_bits)
     network.charge_phase(

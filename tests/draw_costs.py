@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the median per-call cost of `Streams.integers` for fixed shapes.
 
-    python3 tests/draw_costs.py [--root CHECKOUT] [--repeats 11]
+    python3 tests/draw_costs.py [--root CHECKOUT]
 
 One line per shape:
 - distinct sorted rows, 15, 600 and 16,383 of them, one draw each;
@@ -29,20 +29,20 @@ import numpy as np
 STREAM_ROWS = 1 << 16
 DISTINCT = (15, 600, 16_383)
 REPEATED = (159, 32)
+REPEATS = 11            # timed batches per shape; the median is printed
 
 
-def per_call(fn, repeats: int) -> float:
-    """Median seconds of one fn() call over `repeats` batches of at least 0.2 s."""
+def per_call(fn) -> float:
+    """Median seconds of one fn() call over REPEATS batches of at least 0.2 s."""
     timer = timeit.Timer(fn)
     number, _ = timer.autorange()
-    return statistics.median(timer.repeat(repeats, number)) / number
+    return statistics.median(timer.repeat(REPEATS, number)) / number
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
-    parser.add_argument("--repeats", type=int, default=11)
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
     from congestcolor.sim import Streams, seed_words
@@ -52,7 +52,7 @@ def main(argv=None) -> int:
     for count in DISTINCT:
         rows = np.linspace(0, STREAM_ROWS - 1, count).astype(np.int64)
         hs = gen.integers(2, 513, count)
-        cost = per_call(lambda: streams.integers(rows, hs), args.repeats)
+        cost = per_call(lambda: streams.integers(rows, hs))
         print(f"distinct {count} rows: {cost * 1e3:.4f} ms per call", flush=True)
 
     n_rows, draws = REPEATED
@@ -65,7 +65,7 @@ def main(argv=None) -> int:
     except ValueError:          # a row at most once per call: one call per rank
         how = f"{draws} calls, one per rank"
         fn = lambda: [streams.integers(rows, hs[:, j]) for j in range(draws)]
-    cost = per_call(fn, args.repeats)
+    cost = per_call(fn)
     print(f"repeated {n_rows} rows x {draws} draws ({how}): "
           f"{cost * 1e3:.4f} ms per shape", flush=True)
     return 0
