@@ -147,6 +147,7 @@ def compute_acd(network: Network) -> AlmostCliqueDecomposition:
     edge_keys = g.edge_src * n + g.indices  # ascending: CSR rows are sorted
     pos = np.minimum(np.searchsorted(edge_keys, detected), edge_keys.size - 1)
     notified = detected[edge_keys[pos] == detected]
+    del edge_keys, pos      # edge-sized, and step 8's BFS sets the peak memory
     network.charge_phase("acd_fedges", 1, int(notified.size), 1)
     u, w = np.divmod(notified, n)
     f_u, f_w = np.divmod(_sorted_unique(np.minimum(u, w) * n + np.maximum(u, w)), n)

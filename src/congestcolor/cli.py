@@ -88,6 +88,7 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     graph = _parse(args.graph, load_edge_list)
     palettes = _parse(args.palettes, load_palettes) if args.palettes else None
+    listed = palettes.node_rows(graph.n) >= 0 if palettes else None
     coloring = {}
     for i, line in enumerate(_parse(args.coloring, str.splitlines), 1):
         if not line.strip():
@@ -98,7 +99,7 @@ def cmd_verify(args) -> int:
                        else f"node {v} is not in the {graph.n}-node graph"
                        if not 0 <= v < graph.n
                        else f"node {v} has no list in {args.palettes}"
-                       if palettes and v not in palettes.lists else "")
+                       if palettes and not listed[v] else "")
         except ValueError:
             problem = f"expected '<node> <color>', got {line.strip()!r}"
         if problem:

@@ -1,14 +1,17 @@
 """Graph construction, edge-list I/O, palettes, and ground-truth oracles.
 
 Everything in this module is pure. The validators here (`verify_coloring`,
-the density oracle) audit the distributed algorithms; they share
-no code with them.
+the density oracle) audit the distributed algorithms; they share no code
+with them beyond the lookup in the input lists, `PaletteAssignment.find`.
 """
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
@@ -121,12 +124,67 @@ def _reject(n: int, u, v, bad):
     raise GraphError(f"self-loop at node {a}")
 
 
-@dataclass
 class PaletteAssignment:
-    """Color lists over a colorspace [1..colorspace_size]."""
+    """Color lists over a colorspace [1..colorspace_size], held as one pool.
 
-    colorspace_size: int
-    lists: dict = field(default_factory=dict)
+    Pool row r holds one list's colors, ascending:
+    `pool_colors[pool_ptr[r]:pool_ptr[r + 1]]`. Node v's list is row
+    `list_id[v]`, which other nodes may share; -1, or a v past the end of
+    `list_id`, means v has no list. The arrays are read-only. Built from
+    `pool` = (list_id, pool_ptr, pool_colors), or from `lists`, a dict node ->
+    colors, with one row per distinct list, numbered by their first node.
+    """
+
+    def __init__(self, colorspace_size: int, lists: dict | None = None, pool=None):
+        if pool is None:
+            rows = {}
+            ids = {v: rows.setdefault(frozenset(lists[v]), len(rows)) for v in sorted(lists)}
+            if min(ids, default=0) < 0:
+                raise ValueError(f"node {min(ids)} has a negative id")
+            rows = [sorted(r) for r in rows]
+            ptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
+            pool = (np.full(max(ids, default=-1) + 1, -1, dtype=np.int64), ptr,
+                    np.fromiter(chain.from_iterable(rows), np.int64, int(ptr[-1])))
+            pool[0][list(ids)] = list(ids.values())
+        self.colorspace_size = colorspace_size
+        self.list_id, self.pool_ptr, self.pool_colors = pool
+        for a in pool:
+            a.flags.writeable = False
+        self._longest = int(np.diff(self.pool_ptr).max(initial=0))
+
+    def node_rows(self, n: int):
+        """`list_id` of nodes 0..n-1, -1 for a node without a list."""
+        return np.pad(self.list_id[:n], (0, max(0, n - self.list_id.size)), constant_values=-1)
+
+    def find(self, rows, colors):
+        """Where each colors[i] is, or would go, in pool row rows[i], counted
+        from the row's start, and whether it is there; a row of -1 holds
+        nothing. One lower-bound search runs in every row at once, halving
+        the longest row's span each step; a probe at or past its own row's
+        end counts as too large."""
+        start, end = self.pool_ptr[rows], self.pool_ptr[rows + 1]
+        base, pool, k = start.copy(), self.pool_colors, self._longest
+        if not pool.size:
+            return np.zeros_like(start), np.zeros(start.shape, dtype=bool)
+        while k > 1:
+            half = k >> 1
+            k -= half
+            probe = base + half
+            ok = pool.take(probe, mode="clip") < colors
+            ok &= probe < end
+            base += half * ok
+        ok = pool.take(base, mode="clip") < colors
+        ok &= base < end
+        base += ok
+        return base - start, (base < end) & (pool.take(base, mode="clip") == colors)
+
+    @functools.cached_property
+    def lists(self):
+        """Read-only view node -> frozenset of colors, built on first use."""
+        ptr, colors = self.pool_ptr.tolist(), self.pool_colors.tolist()
+        rows = [frozenset(colors[a:b]) for a, b in zip(ptr, ptr[1:])]
+        return MappingProxyType({v: rows[r] for v, r in enumerate(self.list_id.tolist())
+                                 if r >= 0})
 
 
 # ---------------------------------------------------------------------------
@@ -272,38 +330,42 @@ def make_palettes(
 
     kind='delta_plus_one': every list has Delta+1 colors.
     kind='deg_plus_one': list of v has degree(v)+1 colors.
-    mode='random' draws lists uniformly without replacement from [1..U]
-    (U defaults to n^2); mode='shared' gives everyone the prefix {1..size}.
+    mode='random' draws each node's list uniformly without replacement from
+    [1..U] (U defaults to n^2) into a pool row of its own; mode='shared' gives
+    everyone the prefix {1..size}.
     """
     n = graph.n
     u_size = colorspace_size if colorspace_size is not None else max(4, n * n)
     if kind == "delta_plus_one":
-        sizes = [graph.delta + 1] * n
+        sizes = np.full(n, graph.delta + 1)
     elif kind == "deg_plus_one":
-        sizes = (graph.degrees + 1).tolist()
+        sizes = graph.degrees + 1
     else:
         raise ValueError(f"unknown palette kind {kind}")
-    if max(sizes) > u_size:
+    if sizes.max() > u_size:
         raise ValueError("colorspace smaller than required list size")
-    if mode == "shared":
-        # one list object per distinct size, shared by every node of that size
-        prefix = {s: frozenset(range(1, s + 1)) for s in set(sizes)}
-        lists = dict(enumerate(prefix[s] for s in sizes))
-    elif mode == "random":
+    if mode == "shared":    # one row per distinct size, ascending: the prefix {1..size}
+        present = np.bincount(sizes) > 0
+        list_id, sizes = (np.cumsum(present) - 1)[sizes], np.flatnonzero(present)
+        colors = np.concatenate([np.arange(1, s + 1) for s in sizes.tolist()])
+    elif mode == "random":  # one row per node, drawn in id order
         rng = np.random.default_rng([seed, 0xBA1E77E])
-        lists = {v: frozenset((rng.choice(u_size, size=s, replace=False) + 1).tolist())
-                 for v, s in enumerate(sizes)}
+        list_id = np.arange(n)
+        colors = np.concatenate([np.sort(rng.choice(u_size, size=s, replace=False))
+                                 for s in sizes.tolist()]) + 1
     else:
         raise ValueError(f"unknown palette mode {mode}")
-    return PaletteAssignment(colorspace_size=u_size, lists=lists)
+    return PaletteAssignment(u_size, pool=(list_id, np.cumsum(np.r_[0, sizes]), colors))
 
 
 def load_palettes(text: str) -> PaletteAssignment:
-    """Parse `U <size>` and `<node>: <colors>` lines. A line that does not
-    parse, a node listed twice, or a color outside [1, U] when U is given, is
-    a ValueError naming the line or the node."""
+    """Parse `U <size>` and `<node>: <colors>` lines; equal lists share one
+    pool row. A line that does not parse or names a negative node, a node
+    listed twice, or a color outside [1, U] when U is given, is a ValueError
+    naming the line or the node."""
     u_size = 0
     lists = {}
+    rows = {}       # one object per distinct list
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -316,16 +378,18 @@ def load_palettes(text: str) -> PaletteAssignment:
             v, colors = int(head), frozenset(int(c) for c in tail.split())
         except ValueError:
             raise ValueError(f"malformed line {lineno}: {raw!r}") from None
+        if v < 0:
+            raise ValueError(f"negative node id at line {lineno}: {raw!r}")
         if v in lists:
             raise ValueError(f"node {v} is listed twice at line {lineno}")
-        lists[v] = colors
+        lists[v] = rows.setdefault(colors, colors)
     if u_size:
         for v, s in lists.items():
             if s and not 1 <= min(s) <= max(s) <= u_size:
                 raise ValueError(f"node {v} has a color outside [1, {u_size}]")
     else:
-        u_size = max((max(s) for s in lists.values() if s), default=1)
-    return PaletteAssignment(colorspace_size=u_size, lists=lists)
+        u_size = max((max(s) for s in rows if s), default=1)
+    return PaletteAssignment(u_size, lists)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +437,10 @@ def verify_coloring(
     coloring: dict,
     allow_partial: bool = False,
 ) -> ColoringReport:
-    """Audit a coloring with one pass over the edge arrays; monochromatic
-    edges come as (u, v) with u < v, ascending."""
+    """Audit a coloring with one pass over the edge arrays and one lookup
+    into the input lists; monochromatic edges come as (u, v) with u < v,
+    ascending, and off-list nodes (a node without a list among them) in the
+    coloring's order."""
     n = graph.n
     nodes = np.fromiter(coloring.keys(), np.int64, len(coloring))
     outside = (nodes < 0) | (nodes >= n)
@@ -387,6 +453,6 @@ def verify_coloring(
     src, dst = graph.edge_src, graph.indices
     mono = (src < dst) & colored[src] & colored[dst] & (col[src] == col[dst])
     mono_edges = list(zip(src[mono].tolist(), dst[mono].tolist()))
-    off_list = [v for v, c in coloring.items() if c not in palettes.lists[v]]
+    off_list = nodes[~palettes.find(palettes.node_rows(n)[nodes], col[nodes])[1]].tolist()
     uncolored = np.flatnonzero(~colored).tolist()
     return ColoringReport(mono_edges, off_list, uncolored, allow_partial)

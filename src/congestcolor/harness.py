@@ -69,10 +69,9 @@ def small_degree_branch(graph: Graph, config: SimConfig) -> bool:
 def check_lists(graph: Graph, palettes: PaletteAssignment) -> PaletteAssignment:
     """Reject an instance in which some node has no list or fewer than
     deg(v)+1 colors, naming the first such node; returns the lists."""
-    lists = palettes.lists
+    rows, ptr = palettes.node_rows(graph.n), palettes.pool_ptr
     # list sizes, -1 for a node without a list
-    sizes = np.fromiter((len(lists[v]) if v in lists else -1 for v in range(graph.n)),
-                        np.int64, graph.n)
+    sizes = np.where(rows >= 0, ptr[rows + 1] - ptr[rows], -1)
     v = int(np.argmax(sizes <= graph.degrees))
     if sizes[v] < 0:
         raise ValueError(f"node {v} has no color list")

@@ -16,9 +16,9 @@ own ledger, and the block then books, per phase, the most rounds any one
 branch spent in it, together with all branches' messages and the widest
 edge load. No ledger entry is ever negative.
 
-Color lists live in one pool: each distinct list is one row of sorted
-colors, and a node holds only its `list_id` and its own `removed` row, so
-nodes that share a list share its colors and its lookup keys.
+Color lists live in the input's pool (`PaletteAssignment`): each row is one
+list's sorted colors, and a node holds only its `list_id` and its own
+`removed` row, so nodes that share a row share its colors.
 
 Per-node randomness is an independent stream derived from
 (master_seed, node id), so node scheduling order cannot perturb draws. Node
@@ -42,7 +42,6 @@ import math
 import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -226,6 +225,7 @@ def _repeats(rows) -> bool:
 # the one generator `Streams._on_row` loads row states into: building a
 # generator costs more than a state round trip, so it is built once
 _SHUFFLER = np.random.Generator(np.random.PCG64(0))
+FIND_CHUNK = 1 << 14  # pairs per pass of `Network._find`
 TAIL_ROWS = 64      # `Streams.redraws` goes row by row once this few rows are left
 
 
@@ -421,10 +421,10 @@ class Network:
 
     Node state is held in arrays indexed by node id: `color` (-1 while
     uncolored), `udeg` (uncolored neighbors) and `layer` (-1 until a layer
-    partition sets it). Each distinct color list is stored once, as a row of
-    the pool CSR of sorted colors, `pool_colors[pool_ptr[i]:pool_ptr[i + 1]]`,
-    and `list_id[v]` is the row of v's list; nodes with equal lists share a
-    row. Node v's own entries are `pal_ptr[v]:pal_ptr[v + 1]`, one per color
+    partition sets it). The color lists are the input's pool, taken as it
+    is: row i holds sorted colors `pool_colors[pool_ptr[i]:pool_ptr[i + 1]]`,
+    and `list_id[v]` is the row of v's list, which other nodes may share.
+    Node v's own entries are `pal_ptr[v]:pal_ptr[v + 1]`, one per color
     of its pool row in the same order: `removed` marks the entries that a
     colored neighbor took, and `live` counts the rest of each node's row.
     """
@@ -448,29 +448,14 @@ class Network:
         self.color = np.full(n, -1, dtype=np.int64)
         self.udeg = graph.degrees.copy()
         self.layer = np.full(n, -1, dtype=np.int64)
-        # one pool row per distinct list: nodes whose lists are equal share it
-        rows = {}
-        self.list_id = np.fromiter(
-            (rows.setdefault(palettes.lists[v], len(rows)) for v in range(n)),
-            np.int64, n)
-        pool_sizes = np.fromiter(map(len, rows), np.int64, len(rows))
-        self.pool_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(pool_sizes, out=self.pool_ptr[1:])
-        colors = np.fromiter(chain.from_iterable(rows), np.int64,
-                             int(self.pool_ptr[-1]))
-        if colors.size and colors.min() < 0:
+        # the input's list pool, as it is: nodes with equal lists may share a row
+        self.list_id = palettes.node_rows(n)
+        if (self.list_id < 0).any():
+            raise SimError(f"node {int(np.argmax(self.list_id < 0))} has no color list")
+        self.pool_ptr, self.pool_colors = palettes.pool_ptr, palettes.pool_colors
+        if self.pool_colors.size and self.pool_colors.min() < 0:
             raise SimError("negative color in a list")
-        # pool key list_id * stride + color: sorting the keys sorts every
-        # row, and one searchsorted finds any (list, color) pair
-        self._stride = int(colors.max()) + 1 if colors.size else 1
-        if len(rows) * self._stride >= 1 << 63:
-            raise SimError(f"colors up to {self._stride - 1} on {len(rows)} "
-                           f"distinct lists overflow the 64-bit palette keys")
-        row_of = np.repeat(np.arange(len(rows), dtype=np.int64), pool_sizes)
-        self._pool_keys = row_of * self._stride + colors
-        self._pool_keys.sort()
-        self.pool_colors = self._pool_keys - row_of * self._stride
-        self.live = pool_sizes[self.list_id]
+        self.live = np.diff(self.pool_ptr)[self.list_id]
         self.pal_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.live, out=self.pal_ptr[1:])
         self.removed = np.zeros(int(self.pal_ptr[-1]), dtype=bool)
@@ -551,16 +536,20 @@ class Network:
         k = self.pal_ptr.item(v + 1) - lo
         return self.pool_colors[i:i + k][~self.removed[lo:lo + k]].tolist()
 
-    def _find(self, nodes, colors):
-        """Entry index of each (node, color) pair in the nodes' `removed`
-        rows, and whether the color is on the node's list at all."""
-        valid = (colors >= 0) & (colors < self._stride)
-        rows = self.list_id[nodes]
-        keys = rows * self._stride + np.where(valid, colors, 0)
-        pos = np.searchsorted(self._pool_keys, keys)
-        found = valid & (pos < self._pool_keys.size)
-        found[found] = self._pool_keys[pos[found]] == keys[found]
-        return pos - self.pool_ptr[rows] + self.pal_ptr[nodes], found
+    def _find(self, nodes, colors, pairs=None):
+        """Entry index of each (node, color) pair, or of the pairs `pairs`
+        indexes, in the nodes' `removed` rows, and whether the color is on
+        the node's list at all. Long calls look FIND_CHUNK pairs up at a time,
+        so that the pool rows and the temporaries of one pass stay in cache."""
+        size = nodes.size if pairs is None else pairs.size
+        pos, found = np.empty(size, dtype=np.int64), np.empty(size, dtype=bool)
+        for i in range(0, size, FIND_CHUNK):
+            at = slice(i, i + FIND_CHUNK)
+            sel = at if pairs is None else pairs[at]
+            v = nodes[sel]
+            pos[at], found[at] = self.palettes.find(self.list_id[v], colors[sel])
+            pos[at] += self.pal_ptr[v]
+        return pos, found
 
     def in_palettes(self, nodes, colors):
         """Mask: whether colors[i] is live in the palette of nodes[i]."""
@@ -626,7 +615,7 @@ class Network:
         # winner's pool row holds it at the winner's offset; look the rest up
         gone = self.pal_ptr[nbrs] + np.repeat(pos - self.pal_ptr[nodes], lens)
         other = np.flatnonzero(self.list_id[nbrs] != np.repeat(self.list_id[nodes], lens))
-        gone[other], held = self._find(nbrs[other], pair_colors[other])
+        gone[other], held = self._find(nbrs, pair_colors, other)
         if not held.all():      # drop the neighbors whose lists lack the color
             gone, nbrs = np.delete(gone, other[~held]), np.delete(nbrs, other[~held])
         fresh = ~self.removed[gone]

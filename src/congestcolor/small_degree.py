@@ -193,15 +193,37 @@ def _minimal_c0(n_bound: int, u_size: int) -> float:
     raise SimError("no workable colorspace-reduction exponent found")
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _next_prime(x) -> int:
+    """The smallest prime above int(x), 2 if int(x) < 2, as sympy's `nextprime`."""
+    m = max(int(x), 1) + 1
+    while not _is_prime(m):
+        m += 1
+    return m
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin on the first 13 primes as bases: exact below 3.3e24."""
+    if m <= 41 or any(m % b == 0 for b in _PRIME_BASES):
+        return m in _PRIME_BASES
+    s = ((m - 1) & (1 - m)).bit_length() - 1        # m - 1 = d * 2**s, d odd
+    for b in _PRIME_BASES:
+        x = pow(b, (m - 1) >> s, m)
+        if x != 1 and all(pow(x, 1 << i, m) != m - 1 for i in range(s)):
+            return False
+    return True
+
+
 @functools.lru_cache(maxsize=None)
 def _field(n_bound: int, u_size: int) -> tuple:
     """(c0, p, degree) of the reduction: the smallest workable c0, the prime
     field size p and the polynomial degree whose family covers the U colors.
     A pure function of (N, U), computed once per pair."""
-    import sympy        # slow to import, and only these two paths need it
     c0 = _minimal_c0(n_bound, u_size)
     while True:
-        p = int(sympy.nextprime(n_bound ** c0 / 2.0))
+        p = _next_prime(n_bound ** c0 / 2.0)
         if p > n_bound ** c0 + 1:
             raise SimError("no prime found in the target window")
         degree = max(1, math.ceil(p / n_bound ** 5))
@@ -245,7 +267,7 @@ def _roots_mod_p(coeffs, p):
         return np.nonzero(acc == 0)[0].tolist()
     if len(cs) == 2:
         return [(-cs[0] * pow(cs[1], -1, p)) % p]
-    import sympy
+    import sympy        # slow to import, and only this path needs it
     x = sympy.Symbol("x")
     poly = sympy.Poly([int(c) for c in reversed(cs)], x, modulus=p)
     return sorted(int(r) % p for r in poly.ground_roots())

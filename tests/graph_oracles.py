@@ -181,7 +181,7 @@ def verify_coloring_reference(graph, palettes, coloring: dict,
         if cu is not None and cu == cv:
             mono.append((u, v))
     for v, c in coloring.items():
-        if c not in palettes.lists[v]:
+        if c not in palettes.lists.get(v, ()):
             off_list.append(v)
     uncolored = [v for v in range(graph.n) if v not in coloring]
     return ColoringReport(mono, off_list, uncolored, allow_partial)

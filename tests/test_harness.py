@@ -54,12 +54,17 @@ def test_clique_uses_exactly_delta_plus_one_colors():
     assert rep.colors_used == 65
 
 
+def shared_lists(g):
+    """`g`'s shared lists as a dict that a test may edit."""
+    return dict(make_palettes(g, seed=1, mode="shared").lists)
+
+
 def test_missing_list_rejected_at_the_boundary():
     g = generate("cycle", {"n": 64}, seed=0)
-    pal = make_palettes(g, seed=1, mode="shared")
-    del pal.lists[5]
+    lists = shared_lists(g)
+    del lists[5]
     with pytest.raises(ValueError, match="node 5 has no color list"):
-        run_pipeline(g, pal, SimConfig(), 0)
+        run_pipeline(g, PaletteAssignment(3, lists), SimConfig(), 0)
 
 
 def test_short_list_rejected_at_the_boundary():
@@ -67,31 +72,36 @@ def test_short_list_rejected_at_the_boundary():
     pal = PaletteAssignment(3, {v: frozenset((1, 2)) for v in range(g.n)})
     with pytest.raises(ValueError, match=r"node 0 has 2 colors, needs at least deg\+1 = 3"):
         run_pipeline(g, pal, SimConfig(), 0)
-    pal = make_palettes(g, seed=1, mode="shared")
-    pal.lists[13] = frozenset((1, 2))
+    lists = shared_lists(g)
+    lists[13] = frozenset((1, 2))
     with pytest.raises(ValueError, match="node 13 has 2 colors"):
-        run_pipeline(g, pal, SimConfig(), 0)
+        run_pipeline(g, PaletteAssignment(3, lists), SimConfig(), 0)
 
 
 def test_first_bad_node_in_id_order_is_named():
     g = generate("cycle", {"n": 64}, seed=0)
     # a short list before a missing one
-    pal = make_palettes(g, seed=1, mode="shared")
-    pal.lists[7] = frozenset((1, 2))
-    del pal.lists[20]
+    lists = shared_lists(g)
+    lists[7] = frozenset((1, 2))
+    del lists[20]
     with pytest.raises(ValueError, match="node 7 has 2 colors"):
-        run_pipeline(g, pal, SimConfig(), 0)
+        run_pipeline(g, PaletteAssignment(3, lists), SimConfig(), 0)
     # a missing list before a short one
-    pal = make_palettes(g, seed=1, mode="shared")
-    del pal.lists[7]
-    pal.lists[20] = frozenset((1, 2))
+    lists = shared_lists(g)
+    del lists[7]
+    lists[20] = frozenset((1, 2))
     with pytest.raises(ValueError, match="node 7 has no color list"):
-        run_pipeline(g, pal, SimConfig(), 0)
+        run_pipeline(g, PaletteAssignment(3, lists), SimConfig(), 0)
     # an empty list is a list: it is short, not missing
-    pal = make_palettes(g, seed=1, mode="shared")
-    pal.lists[3] = frozenset()
+    lists = shared_lists(g)
+    lists[3] = frozenset()
     with pytest.raises(ValueError, match="node 3 has 0 colors"):
-        run_pipeline(g, pal, SimConfig(), 0)
+        run_pipeline(g, PaletteAssignment(3, lists), SimConfig(), 0)
+    # a missing last node: the pool's node rows end before it
+    lists = shared_lists(g)
+    del lists[63]
+    with pytest.raises(ValueError, match="node 63 has no color list"):
+        run_pipeline(g, PaletteAssignment(3, lists), SimConfig(), 0)
 
 
 def test_reports_reproducible():
@@ -205,6 +215,7 @@ def test_cli_verify_rejects_malformed_coloring(tmp_path, capsys, text, problem):
     ("palettes", "U 3\n0: 1 2\n0: 2 3\n", "node 0 is listed twice at line 3"),
     ("palettes", "U 3\nx: 1 2 3\n", "malformed line 2: 'x: 1 2 3'"),
     ("palettes", "U three\n0: 1 2\n", "malformed line 1: 'U three'"),
+    ("palettes", "U 3\n-1: 1 2\n0: 1 2\n", "negative node id at line 2: '-1: 1 2'"),
     ("graph", "p edge 3 2\ne 1 9\n", "node id out of range at line 2"),
 ])
 def test_cli_verify_rejects_malformed_graph_or_palettes(tmp_path, capsys, which,
@@ -248,6 +259,8 @@ PATH3 = "p edge 3 2\ne 1 2\ne 2 3\n"          # the path 0 - 1 - 2
      "U 3\n0: 1 2\n0: 2 3\n", "node 0 is listed twice at line 3"),
     (["run", "--graph", "{g}", "--palettes", "{f}"], "p.txt",
      "U 3\n0: 1 2\n1: 1 2 3\n", "node 2 has no color list"),
+    (["run", "--graph", "{g}", "--palettes", "{f}"], "p.txt",
+     "U 3\n0: 1 2\n-1: 1 2 3\n", "negative node id at line 3: '-1: 1 2 3'"),
     (["sweep", "--spec", "{f}"], "spec.json", "{runs: []}",
      "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     (["sweep", "--spec", "{f}"], "spec.json",
@@ -267,6 +280,7 @@ PATH3 = "p edge 3 2\ne 1 2\ne 2 3\n"          # the path 0 - 1 - 2
 ], ids=[
     "run-graph-bad-edge", "run-graph-missing", "run-config-bad-value",
     "run-config-bad-key", "run-palettes-twice", "run-palettes-short",
+    "run-palettes-negative-node",
     "sweep-spec-not-json", "sweep-spec-bad-model", "sweep-spec-bad-config",
     "sweep-spec-missing", "stats-bad-header", "stats-missing",
     "verify-graph-missing", "verify-coloring-missing"

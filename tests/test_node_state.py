@@ -251,16 +251,20 @@ def test_negative_color_rejected():
 
 
 def test_key_overflow_counts_distinct_lists():
+    # colors near 2**62 on several distinct lists: the lookup searches inside
+    # each row, so no (row, color) key has to fit in 64 bits
     big = 2 ** 62
     g = generate("path", {"n": 3}, seed=0)
-    # one list shared by every node is one pool row, whose keys fit
     shared = PaletteAssignment(big, {v: frozenset({1, big}) for v in range(3)})
     net = new_network(g, shared, SimConfig(), 0)
     assert net.in_palettes(np.array([0, 2, 1]), np.array([big, big, 2])).tolist() \
         == [True, True, False]
-    # two distinct lists: keys up to 2 * (2**62 + 1) - 1 overflow
     two = PaletteAssignment(big, {0: frozenset({1, big}), 1: frozenset({2, big}),
                                   2: frozenset({1, big})})
-    with pytest.raises(SimError, match=f"colors up to {big} on 2 distinct lists "
-                                       f"overflow the 64-bit palette keys"):
-        new_network(g, two, SimConfig(), 0)
+    net = new_network(g, two, SimConfig(), 0)
+    assert net.pool_ptr.size - 1 == 2
+    nodes = np.array([0, 1, 2, 0, 1, 2, 1])
+    colors = np.array([big, big, big, 2, 2, 1, 1])
+    assert net.in_palettes(nodes, colors).tolist() == [True] * 3 + [False, True, True, False]
+    net.assign_colors([1], [big])
+    assert [net.palette(v) for v in range(3)] == [[1], [2, big], [1]]

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from congestcolor import small_degree
 from congestcolor.config import SimConfig
@@ -20,6 +25,7 @@ from congestcolor.small_degree import (
     ClusterDecomposition,
     _evaluation_point,
     _minimal_c0,
+    _next_prime,
     _roots_mod_p,
     color_clusters,
     color_small_degree,
@@ -213,6 +219,51 @@ def test_minimal_c0_is_minimal():
 
     assert holds(c0)
     assert not holds(c0 - step)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.integers(-10, 10 ** 6),
+    st.integers(10 ** 6, 3 * 10 ** 24),
+    # the arguments `_field` passes: N ** c0 / 2 with c0 on its 1/64 grid
+    st.builds(lambda n, k: n ** (3.0 + k / 64.0) / 2.0,
+              st.integers(2, 2 ** 16), st.integers(0, 128)),
+    st.floats(-5.0, 1e9),
+))
+# one below the smallest strong pseudoprime to the first 1, 2, ..., 12 primes
+# (to bases 2..23 for the ninth): a Miller-Rabin with too few bases calls it prime
+@example(2046)
+@example(1373652)
+@example(25326000)
+@example(3215031750)
+@example(2152302898746)
+@example(3474749660382)
+@example(341550071728320)
+@example(3825123056546413050)
+@example(318665857834031151167460)
+def test_next_prime_is_sympys(x):
+    assert _next_prime(x) == sympy.nextprime(x)
+
+
+def test_lowdeg_cycle_run_does_not_import_sympy():
+    # the benchmark's lowdeg_cycle instance at seed 1, in a fresh interpreter
+    code = (
+        "import sys\n"
+        "from congestcolor.config import SimConfig\n"
+        "from congestcolor.graphs import generate, make_palettes\n"
+        "from congestcolor.harness import run_pipeline\n"
+        "g = generate('cycle', {'n': 2 ** 16}, 1)\n"
+        "rep = run_pipeline(g, make_palettes(g, seed=2, mode='shared'), SimConfig(), 1)\n"
+        "assert rep.valid and rep.branch == 'small_degree'\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_roots_mod_p_paths_agree():

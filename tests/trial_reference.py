@@ -2,7 +2,7 @@
 form, kept as the differential oracle for `Network.assign_colors` and
 `trials.random_color_trial`.
 
-`assign_colors` looks every (neighbor, color) pair up in the pool keys and
+`assign_colors` looks every (neighbor, color) pair up in the list pool and
 finds the stripped entries by sorting them; `udeg` and `live` drop through
 `np.subtract.at`. `trial_picks` redraws every rejected row in array passes
 until none is left, one `Streams.integers` call per pass. Both must leave
