@@ -8,13 +8,15 @@ without ever shipping a neighborhood across an edge, and then agreeing on a
 minimum-ID anchor per group. All decisions use one ID (or one bit) per edge
 per round.
 
-The simulator runs the construction as array passes over the graph's CSR
-arrays (`indptr`, `indices`, `edge_src`): gossip multiplicities are counted
-by sorting (receiver, ID) keys in blocks of receivers, F-edges are looked up
-in the sorted edge keys, and the groups' connectivity and depth come from one
-multi-source BFS. Node streams are drawn in a fixed per-node order: one draw
-for S-membership, then one pick and one forwarding coin per gossip
-repetition, so the result does not depend on how the passes are arranged.
+The simulator runs the construction as array passes over the CSR arrays
+(`indptr`, `indices`, `edge_src`) in the row blocks of `Graph.blocks`: a
+block's gossip multiplicities are counted by sorting its (receiver, ID) keys
+and its F-edges looked up in its own rows' edge keys, and the groups'
+connectivity, depth and internal degrees come from one multi-source BFS
+that expands each level's frontier a block at a time. Node streams are drawn
+in a fixed per-node order: one draw for S-membership, then one pick and one
+forwarding coin per gossip repetition, so the result does not depend on how
+the passes are arranged.
 """
 
 from __future__ import annotations
@@ -25,12 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, density_oracle
+from .graphs import Graph, density_oracle, sorted_unique
 from .sim import Network, SimError
-
-# gossip and adoption pairs sorted at once, at most: the receivers are counted
-# in blocks of _PAIR_BUDGET // (Delta * reps) nodes
-_PAIR_BUDGET = 1 << 20
 
 # detection slack delta: epsilon = 27 * delta and eta = epsilon / 108
 DELTA_ACD = 1.0 / 81.0
@@ -139,18 +137,13 @@ def compute_acd(network: Network) -> AlmostCliqueDecomposition:
     gossip_msgs = int((forwards.sum(axis=1) * s_deg[senders]).sum())
     network.charge_phase("acd_gossip", reps, gossip_msgs, id_bits)
 
-    # step 3: a sampled node detects the IDs it heard often enough
+    # step 3: a sampled node detects the IDs it heard often enough; step 4:
+    # F-edges, where either endpoint detected the other (one-bit notify)
     sim_threshold = margin * (1.0 - 2.0 * delta) * exp_count
-    detected = _frequent_pairs(g, sent, sim_threshold, receivers=in_s)
-
-    # step 4: F-edges — either endpoint detected the other (one-bit notify)
-    edge_keys = g.edge_src * n + g.indices  # ascending: CSR rows are sorted
-    pos = np.minimum(np.searchsorted(edge_keys, detected), edge_keys.size - 1)
-    notified = detected[edge_keys[pos] == detected]
-    del edge_keys, pos      # edge-sized, and step 8's BFS sets the peak memory
+    notified = _frequent_pairs(g, sent, sim_threshold, receivers=in_s, adjacent=True)
     network.charge_phase("acd_fedges", 1, int(notified.size), 1)
     u, w = np.divmod(notified, n)
-    f_u, f_w = np.divmod(_sorted_unique(np.minimum(u, w) * n + np.maximum(u, w)), n)
+    f_u, f_w = np.divmod(sorted_unique(np.minimum(u, w) * n + np.maximum(u, w)), n)
     f_src = np.concatenate([f_u, f_w])  # both directions of every F-edge
     f_dst = np.concatenate([f_w, f_u])
 
@@ -187,10 +180,7 @@ def compute_acd(network: Network) -> AlmostCliqueDecomposition:
     # the anchor leads its group if it joined it, else the lowest member does
     lowest = joined[first]
     roots = np.where(adopted[anchors] == anchors, anchors, lowest)
-    inside = adopted[g.edge_src] == adopted[g.indices]
-    inside &= adopted[g.edge_src] >= 0
-    internal = np.bincount(g.edge_src[inside], minlength=n)
-    dist = _bfs_levels(internal, g.indices[inside], roots)
+    dist, internal = _bfs_levels(g, adopted, roots)
     reached = np.bincount(group[dist[joined] < 0], minlength=anchors.size) == 0
     depth = np.zeros(anchors.size, dtype=np.int64)
     np.maximum.at(depth, group, dist[joined])
@@ -237,21 +227,22 @@ def compute_acd(network: Network) -> AlmostCliqueDecomposition:
     )
 
 
-def _frequent_pairs(g: Graph, values, threshold: float, receivers=None):
+def _frequent_pairs(g: Graph, values, threshold: float, receivers=None,
+                    adjacent=False):
     """Sorted keys r*n + x of the (receiver r, value x) pairs that arrive at
     least `threshold` times, when every neighbor s of r delivers each entry
     x >= 0 of values[s] (a vector of length n, or an (n, reps) table).
 
-    `receivers` (a boolean mask) limits who counts. Receivers are taken in
-    blocks of about _PAIR_BUDGET / (Delta * reps) nodes, so at most about
-    _PAIR_BUDGET pairs are sorted at once.
+    `receivers` (a boolean mask) limits who counts, and `adjacent` keeps only
+    the pairs whose value is a neighbor of the receiver. The receivers are
+    taken in the blocks of `Graph.blocks`, each block's pairs sorted at once
+    and looked up in its own rows' edge keys.
     """
     n = g.n
     values = values.reshape(n, -1)
-    block = max(1, _PAIR_BUDGET // (g.delta * values.shape[1]))
     found = [np.empty(0, dtype=np.int64)]
-    for lo in range(0, n, block):
-        a, b = g.indptr[lo], g.indptr[min(n, lo + block)]
+    for s in g.blocks(np.arange(n)):
+        a, b = g.indptr[s.start], g.indptr[s.stop]
         recv, send = g.edge_src[a:b], g.indices[a:b]
         if receivers is not None:
             keep = receivers[recv]
@@ -259,39 +250,37 @@ def _frequent_pairs(g: Graph, values, threshold: float, receivers=None):
         heard = values[send]
         keys = (recv[:, None] * n + heard)[heard >= 0]
         keys, counts = np.unique(keys, return_counts=True)
-        found.append(keys[counts >= threshold])
+        keys = keys[counts >= threshold]
+        if adjacent:        # the edge keys ascend: CSR rows are sorted
+            edges = recv * n + send
+            pos = np.minimum(np.searchsorted(edges, keys), edges.size - 1)
+            keys = keys[edges[pos] == keys]
+        found.append(keys)
     return np.concatenate(found)
 
 
-def _sorted_unique(a):
-    """`np.unique(a)` of a 1-D array, by a sort and an adjacent-difference
-    mask: numpy 2.4 hashes a plain `np.unique` of integers, which is about
-    60 times slower than the sort on a million random int64."""
-    a = np.sort(a)
-    keep = np.ones(a.size, dtype=bool)
-    keep[1:] = a[1:] != a[:-1]
-    return a[keep]
-
-
-def _bfs_levels(degree, nbrs, roots):
-    """Hop distance of every node from its root, -1 where unreached, by one
-    level-synchronous BFS from all roots at once over the CSR adjacency with
-    row lengths `degree` and targets `nbrs`."""
-    ptr = np.zeros(degree.size + 1, dtype=np.int64)
-    np.cumsum(degree, out=ptr[1:])
-    dist = np.full(degree.size, -1, dtype=np.int64)
+def _bfs_levels(g: Graph, group, roots):
+    """Hop distance of every node from its root, -1 where unreached, and the
+    neighbors in its own group of every reached node, 0 elsewhere, by one
+    level-synchronous BFS from all roots at once along the edges whose ends
+    share a group (`group[v]`, -1 outside every group). Each level expands
+    the frontier's rows block by block (`Graph.blocks`), and a node joins
+    the level in the first block that reaches it."""
+    dist = np.full(g.n, -1, dtype=np.int64)
+    internal = np.zeros(g.n, dtype=np.int64)
     dist[roots] = 0
-    frontier = roots
-    level = 0
+    frontier, level = roots, 0
     while frontier.size:
-        lens = degree[frontier]
-        # edge slots of the frontier's rows, row after row
-        offsets = np.repeat(ptr[frontier] - np.cumsum(lens) + lens, lens)
-        reach = nbrs[offsets + np.arange(offsets.size)]
-        frontier = _sorted_unique(reach[dist[reach] < 0])
         level += 1
-        dist[frontier] = level
-    return dist
+        reached = [np.empty(0, dtype=np.int64)]
+        for s in g.blocks(frontier):
+            at, nbrs = g.rows(frontier[s])
+            inside = group[nbrs] == group[frontier[s]][at]
+            internal[frontier[s]] = np.bincount(at[inside], minlength=s.stop - s.start)
+            reached.append(sorted_unique(nbrs[inside & (dist[nbrs] < 0)]))
+            dist[reached[-1]] = level
+        frontier = np.concatenate(reached)
+    return dist, internal
 
 
 # ---------------------------------------------------------------------------

@@ -219,12 +219,15 @@ def _layer_metrics(network: Network, clique_of, layer: int):
     live_of = np.where((network.layer == layer) & (network.color < 0),
                        clique_of, -1)
     live = np.flatnonzero(live_of >= 0)
-    src, nbrs = g.rows(live)
     # r_i(u) = |N(u) cap live|: count incidences from the live side
-    max_r = int(np.bincount(nbrs, minlength=g.n)[live].max(initial=0))
-    ext = (live_of[nbrs] >= 0) & (live_of[nbrs] != live_of[live][src])
-    max_e = int(np.bincount(src[ext], minlength=live.size).max(initial=0))
-    return max_e, max_r, live.size
+    r = np.zeros(g.n, dtype=np.int64)
+    max_e = 0
+    for s in g.blocks(live):
+        at, nbrs = g.rows(live[s])
+        r += np.bincount(nbrs, minlength=g.n)
+        ext = (live_of[nbrs] >= 0) & (live_of[nbrs] != live_of[live[s]][at])
+        max_e = max(max_e, int(np.bincount(at[ext]).max(initial=0)))
+    return max_e, int(r[live].max(initial=0)), live.size
 
 
 def color_dense_nodes(network: Network, acd, overlays, seed: int = 0) -> dict:

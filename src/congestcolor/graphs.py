@@ -15,6 +15,8 @@ from types import MappingProxyType
 
 import numpy as np
 
+EDGE_BLOCK = 1 << 18    # edge slots one pass holds at once; see `Graph.blocks`
+
 
 class GraphError(ValueError):
     pass
@@ -73,6 +75,18 @@ class Graph:
         slots = np.arange(int(lens.sum())) + np.repeat(lo - np.cumsum(lens) + lens, lens)
         return np.repeat(np.arange(len(nodes)), lens), self.indices[slots]
 
+    def blocks(self, nodes):
+        """Slices of `nodes`, in order, whose CSR rows together hold at most
+        EDGE_BLOCK slots; a longer row is a block of its own. Every pass over
+        the edge arrays, or over a node set's rows, walks these blocks."""
+        ends = np.cumsum(self.degrees[nodes])
+        lo = 0
+        while lo < ends.size:
+            cap = EDGE_BLOCK + (ends[lo - 1] if lo else 0)
+            hi = max(lo + 1, int(np.searchsorted(ends, cap, side="right")))
+            yield slice(lo, hi)
+            lo = hi
+
     def bfs(self, root: int, within, radius: int | None = None) -> dict:
         """Hop distance from `root` of every node reachable inside the node
         set `within` (at most `radius` hops if given), in visiting order:
@@ -105,6 +119,16 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m}, delta={self.delta})"
+
+
+def sorted_unique(a):
+    """`np.unique(a)` of a 1-D array, by a sort and an adjacent-difference
+    mask: numpy 2.4 hashes a plain `np.unique` of integers, which is about
+    60 times slower than the sort on a million random int64."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 def _reject(n: int, u, v, bad):
@@ -437,8 +461,8 @@ def verify_coloring(
     coloring: dict,
     allow_partial: bool = False,
 ) -> ColoringReport:
-    """Audit a coloring with one pass over the edge arrays and one lookup
-    into the input lists; monochromatic edges come as (u, v) with u < v,
+    """Audit a coloring with one blocked pass over the edge arrays and one
+    lookup into the input lists; monochromatic edges come as (u, v) with u < v,
     ascending, and off-list nodes (a node without a list among them) in the
     coloring's order."""
     n = graph.n
@@ -450,9 +474,12 @@ def verify_coloring(
     col[nodes] = np.fromiter(coloring.values(), np.int64, len(coloring))
     colored = np.zeros(n, dtype=bool)
     colored[nodes] = True
-    src, dst = graph.edge_src, graph.indices
-    mono = (src < dst) & colored[src] & colored[dst] & (col[src] == col[dst])
-    mono_edges = list(zip(src[mono].tolist(), dst[mono].tolist()))
+    mono_edges = []
+    for s in graph.blocks(np.arange(n)):
+        a, b = graph.indptr[s.start], graph.indptr[s.stop]
+        src, dst = graph.edge_src[a:b], graph.indices[a:b]
+        mono = (src < dst) & colored[src] & colored[dst] & (col[src] == col[dst])
+        mono_edges += zip(src[mono].tolist(), dst[mono].tolist())
     off_list = nodes[~palettes.find(palettes.node_rows(n)[nodes], col[nodes])[1]].tolist()
     uncolored = np.flatnonzero(~colored).tolist()
     return ColoringReport(mono_edges, off_list, uncolored, allow_partial)

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, PaletteAssignment
+from .graphs import Graph, PaletteAssignment, sorted_unique
 
 
 class SimError(RuntimeError):
@@ -551,11 +551,16 @@ class Network:
             pos[at] += self.pal_ptr[v]
         return pos, found
 
-    def in_palettes(self, nodes, colors):
-        """Mask: whether colors[i] is live in the palette of nodes[i]."""
+    def entries(self, nodes, colors):
+        """Entry index of each (node, color) pair in the nodes' `removed`
+        rows, and whether colors[i] is live in the palette of nodes[i]."""
         pos, found = self._find(nodes, colors)
         found[found] = ~self.removed[pos[found]]
-        return found
+        return pos, found
+
+    def in_palettes(self, nodes, colors):
+        """Mask: whether colors[i] is live in the palette of nodes[i]."""
+        return self.entries(nodes, colors)[1]
 
     def sample_colors(self, nodes, counts) -> list:
         """Per node nodes[i], min(counts[i], live) of its live colors, uniform
@@ -574,14 +579,11 @@ class Network:
         """Permanently color nodes[i] with colors[i], all in one step. The
         nodes must be distinct and uncolored, each color live in its node's
         palette, and no two adjacent nodes may get the same color; then the
-        end state equals that of assigning them one at a time."""
+        end state equals that of assigning them one at a time. The batch's
+        rows are checked block by block (`Graph.blocks`), all of them before
+        any block is settled, so a refused batch changes nothing."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        self.assign_colors_with_rows(nodes, np.asarray(colors, dtype=np.int64),
-                                     self.graph.rows(nodes)[1])
-
-    def assign_colors_with_rows(self, nodes, colors, nbrs):
-        """`assign_colors` on int64 arrays and all its checks, given `nbrs` =
-        `graph.rows(nodes)[1]` (`trials.try_color_round` cuts it from its own)."""
+        colors = np.asarray(colors, dtype=np.int64)
         if not nodes.size:
             return
         bad = self.color[nodes] >= 0
@@ -589,42 +591,53 @@ class Network:
             i = int(np.argmax(bad))
             raise SimError(f"node {nodes[i]} recolored "
                            f"(had {self.color[nodes[i]]}, got {colors[i]})")
-        pos, found = self._find(nodes, colors)
-        found[found] = ~self.removed[pos[found]]
+        pos, found = self.entries(nodes, colors)
         if not found.all():
             i = int(np.argmin(found))
             raise SimError(f"node {nodes[i]} colored off-palette with {colors[i]}")
         if (np.diff(np.sort(nodes)) == 0).any():
             raise SimError("a node is colored twice in one batch")
-        lens = self.graph.degrees[nodes]    # np.repeat(x, lens): x per (node, neighbor) pair
+        blocks = list(self.graph.blocks(nodes))
         self.color[nodes] = colors
         # a live color is on no colored neighbor outside the batch, so any
         # neighbor with the same color now is a batch member
-        pair_colors = np.repeat(colors, lens)
-        bad = self.color[nbrs] == pair_colors
-        if bad.any():
-            self.color[nodes] = -1
-            i = int(np.argmax(bad))
-            raise SimError(f"adjacent nodes {np.repeat(nodes, lens)[i]} and {nbrs[i]} "
-                           f"both colored {pair_colors[i]}")
+        for s in blocks:
+            at, nbrs = self.graph.rows(nodes[s])
+            bad = self.color[nbrs] == colors[s][at]
+            if bad.any():
+                self.color[nodes] = -1
+                j = int(np.argmax(bad))
+                raise SimError(f"adjacent nodes {nodes[s][at[j]]} and {nbrs[j]} "
+                               f"both colored {colors[s][at[j]]}")
+        for s in blocks:
+            if len(blocks) > 1:     # one block settles with the rows it checked
+                at, nbrs = self.graph.rows(nodes[s])
+            self.settle(nodes[s], colors[s], pos[s], nbrs)
+
+    def settle(self, nodes, colors, pos, nbrs):
+        """Color nodes[i] with colors[i], found at entry pos[i] of its
+        `removed` row, and strip each color from the neighbors' lists, given
+        `nbrs` = `graph.rows(nodes)[1]`. Checks nothing: the caller has made
+        the batch valid (see `assign_colors`)."""
+        lens = self.graph.degrees[nodes]    # np.repeat(x, lens): x per (node, neighbor) pair
+        self.color[nodes] = colors
         if self.trace is not None:
             for v, c in zip(nodes.tolist(), colors.tolist()):
                 self.log(v, "color", str(c))
         self.udeg -= np.bincount(nbrs, minlength=self.graph.n)
-        # strip each new color from the neighbors' lists: a neighbor on the
-        # winner's pool row holds it at the winner's offset; look the rest up
+        # a neighbor on the winner's pool row holds the color at the winner's
+        # offset; look the rest up
+        pair_colors = np.repeat(colors, lens)
         gone = self.pal_ptr[nbrs] + np.repeat(pos - self.pal_ptr[nodes], lens)
         other = np.flatnonzero(self.list_id[nbrs] != np.repeat(self.list_id[nodes], lens))
         gone[other], held = self._find(nbrs, pair_colors, other)
-        if not held.all():      # drop the neighbors whose lists lack the color
-            gone, nbrs = np.delete(gone, other[~held]), np.delete(nbrs, other[~held])
-        fresh = ~self.removed[gone]
-        # an entry that same-colored winners strip counts once, by the pair the scratch kept
-        pair = np.arange(gone.size, dtype=np.min_scalar_type(gone.size))
-        scratch = np.empty(self.removed.size, dtype=pair.dtype)
-        scratch[gone] = pair
+        # drop the neighbors whose lists lack the color; an entry that
+        # same-colored winners strip counts once
+        gone = np.delete(gone, other[~held])
+        gone = sorted_unique(gone[~self.removed[gone]])
         self.removed[gone] = True
-        self.live -= np.bincount(nbrs[fresh & (scratch[gone] == pair)], minlength=self.graph.n)
+        owner = np.searchsorted(self.pal_ptr, gone, side="right") - 1
+        self.live -= np.bincount(owner, minlength=self.graph.n)
 
     def coloring(self) -> dict:
         done = np.flatnonzero(self.color >= 0)

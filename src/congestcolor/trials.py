@@ -18,7 +18,9 @@ def try_color_round(network: Network, picks, phase: str = "rct") -> list:
     Each node announces its candidate to its uncolored neighbors and keeps it
     iff no neighbor announced the same color; permanent colors are then
     exchanged and removed from neighboring palettes. Costs two simulated
-    exchanges (trial + permanent colors), each one color wide.
+    exchanges (trial + permanent colors), each one color wide. The picks'
+    rows are read once, block by block (`Graph.blocks`): each block's losers
+    are found against every candidate, and its winners settled.
 
     Returns the list of nodes that got colored.
     """
@@ -29,22 +31,28 @@ def try_color_round(network: Network, picks, phase: str = "rct") -> list:
         picks = np.array(list(picks.items()), dtype=np.int64)
     nodes, cols = picks[:, 0], picks[:, 1]
     taken = network.color[nodes] >= 0
-    bad = taken | ~network.in_palettes(nodes, cols)
+    pos, live = network.entries(nodes, cols)
+    bad = taken | ~live
     if bad.any():
         i = int(np.argmax(bad))
         if taken[i]:
             raise SimError(f"try_color on already-colored node {nodes[i]}")
         raise SimError(f"node {nodes[i]} tried color {cols[i]} outside its palette")
-    # a node loses iff some neighbor announced the same color
-    src, nbrs = g.rows(nodes)
+    if (np.diff(np.sort(nodes)) == 0).any():
+        raise SimError("a node tries twice in one round")
+    trial_msgs = int(network.udeg[nodes].sum())
     arr = np.full(g.n, -1, dtype=np.int64)
     arr[nodes] = cols
-    lost = np.zeros(len(nodes), dtype=bool)
-    lost[src[arr[nbrs] == np.repeat(cols, g.degrees[nodes])]] = True
-    winners = nodes[~lost]
-    trial_msgs = int(network.udeg[nodes].sum())
-    # the winners' neighbors, cut from the picks' rows
-    network.assign_colors_with_rows(winners, cols[~lost], nbrs[~lost[src]])
+    won = []
+    for s in g.blocks(nodes):
+        # a node loses iff some neighbor announced the same color
+        at, nbrs = g.rows(nodes[s])
+        lost = np.zeros(s.stop - s.start, dtype=bool)
+        lost[at[arr[nbrs] == cols[s][at]]] = True
+        win = np.flatnonzero(~lost) + s.start
+        network.settle(nodes[win], cols[win], pos[win], nbrs[~lost[at]])
+        won.append(win)
+    winners = nodes[np.concatenate(won)]
     perm_msgs = int(g.degrees[winners].sum())
     rounds = 2 * network.chunks(network.color_bits)
     network.charge_phase(

@@ -1,9 +1,11 @@
 """The color-trial kernel against its plain form in `trial_reference.py`.
 
-`Network.assign_colors` strips a winner's color from a neighbor on the
+`Network.assign_colors` and `trials.try_color_round` walk their rows in
+blocks, and `Network.settle` strips a winner's color from a neighbor on the
 winner's own pool row at the winner's offset, looks only the other neighbors
-up, and finds each stripped entry once without sorting; `random_color_trial`
-finishes its last redrawing rows one at a time. On every instance, both
+up, and finds the owner of each stripped entry from `pal_ptr`;
+`random_color_trial` finishes its last redrawing rows one at a time.
+`test_edge_blocks.py` runs these tests again with blocks of a few slots. On every instance, both
 forms must leave the same colors, uncolored degrees, removed masks and live
 counts, pick the same winners, leave every node's stream at the same place
 and refuse a bad batch with the same error.

@@ -1,12 +1,15 @@
-"""Reference color trial: the strip step and the redraw loop in their plain
-form, kept as the differential oracle for `Network.assign_colors` and
-`trials.random_color_trial`.
+"""Reference color trial: the strip step, the trial round and the redraw
+loop in their plain form, kept as the differential oracle for
+`Network.assign_colors` and `trials.random_color_trial`.
 
-`assign_colors` looks every (neighbor, color) pair up in the list pool and
-finds the stripped entries by sorting them; `udeg` and `live` drop through
-`np.subtract.at`. `trial_picks` redraws every rejected row in array passes
-until none is left, one `Streams.integers` call per pass. Both must leave
-the same node state, the same draws and the same errors as the fast forms.
+`assign_colors` reads all of the batch's rows at once, looks every
+(neighbor, color) pair up in the list pool and finds the stripped entries by
+sorting them; `udeg` and `live` drop through `np.subtract.at`.
+`try_color_round` finds the losers over all the picks' rows at once and
+hands the winners to `assign_colors`. `trial_picks` redraws every rejected
+row in array passes until none is left, one `Streams.integers` call per
+pass. All must leave the same node state, the same draws and the same errors
+as the fast forms.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import types
 import numpy as np
 
 from congestcolor.sim import Network, SimError
-from congestcolor.trials import try_color_round
 
 
 def assign_colors(network: Network, nodes, colors):
@@ -84,6 +86,18 @@ def trial_picks(network: Network, active) -> np.ndarray:
     return np.column_stack([active, network.pool_colors[row + offset]])
 
 
+def try_color_round(network: Network, picks) -> list:
+    """`trials.try_color_round`'s coloring, on valid (node, color) rows."""
+    nodes, cols = picks[:, 0], picks[:, 1]
+    src, nbrs = network.graph.rows(nodes)
+    arr = np.full(network.graph.n, -1, dtype=np.int64)
+    arr[nodes] = cols
+    lost = np.zeros(len(nodes), dtype=bool)
+    lost[src[arr[nbrs] == cols[src]]] = True
+    assign_colors(network, nodes[~lost], cols[~lost])
+    return nodes[~lost].tolist()
+
+
 def random_color_trial(network: Network, active) -> list:
-    """`trials.random_color_trial` on a network that `use_reference` set up."""
+    """`trials.random_color_trial`'s coloring and draws."""
     return try_color_round(network, trial_picks(network, active))
