@@ -10,13 +10,13 @@ per round.
 
 The simulator runs the construction as array passes over the CSR arrays
 (`indptr`, `indices`, `edge_src`) in the row blocks of `Graph.blocks`: a
-block's gossip multiplicities are counted by sorting its (receiver, ID) keys
-and its F-edges looked up in its own rows' edge keys, and the groups'
-connectivity, depth and internal degrees come from one multi-source BFS
-that expands each level's frontier a block at a time. Node streams are drawn
-in a fixed per-node order: one draw for S-membership, then one pick and one
-forwarding coin per gossip repetition, so the result does not depend on how
-the passes are arranged.
+block's gossip multiplicities are counted by one sort of its (receiver, ID)
+keys, whose runs give the keys heard often enough, and its F-edges looked up
+in its own rows' edge keys, and the groups' connectivity, depth and internal
+degrees come from one multi-source BFS that expands each level's frontier a
+block at a time. Node streams are drawn in a fixed per-node order: one draw
+for S-membership, then one pick and one forwarding coin per gossip
+repetition, so the result does not depend on how the passes are arranged.
 """
 
 from __future__ import annotations
@@ -115,7 +115,11 @@ def compute_acd(network: Network) -> AlmostCliqueDecomposition:
     # sampled neighbors of v are s_nbrs[s_ptr[v]:s_ptr[v + 1]], ascending
     s_edge = in_s[g.indices]
     s_nbrs = g.indices[s_edge]
-    s_deg = np.bincount(g.edge_src[s_edge], minlength=n)
+    s_deg = np.zeros(n, dtype=np.int64)
+    for s in g.blocks(np.arange(n)):
+        a, b = g.indptr[s.start], g.indptr[s.stop]
+        s_deg[s] = np.bincount(g.edge_src[a:b][s_edge[a:b]] - s.start,
+                               minlength=s.stop - s.start)
     s_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(s_deg, out=s_ptr[1:])
     network.charge_phase("acd_sample", 1, 2 * g.m, 1)
@@ -235,11 +239,14 @@ def _frequent_pairs(g: Graph, values, threshold: float, receivers=None,
 
     `receivers` (a boolean mask) limits who counts, and `adjacent` keeps only
     the pairs whose value is a neighbor of the receiver. The receivers are
-    taken in the blocks of `Graph.blocks`, each block's pairs sorted at once
-    and looked up in its own rows' edge keys.
+    taken in the blocks of `Graph.blocks`, whose keys, counted from the
+    block's first receiver (uint32 when they fit), are sorted in place: a key
+    heard t = ceil(threshold) >= 1 times equals the key t - 1 places on. The
+    hits are looked up in the block's own rows' edge keys.
     """
     n = g.n
     values = values.reshape(n, -1)
+    t = max(1, math.ceil(threshold))
     found = [np.empty(0, dtype=np.int64)]
     for s in g.blocks(np.arange(n)):
         a, b = g.indptr[s.start], g.indptr[s.stop]
@@ -248,9 +255,14 @@ def _frequent_pairs(g: Graph, values, threshold: float, receivers=None,
             keep = receivers[recv]
             recv, send = recv[keep], send[keep]
         heard = values[send]
-        keys = (recv[:, None] * n + heard)[heard >= 0]
-        keys, counts = np.unique(keys, return_counts=True)
-        keys = keys[counts >= threshold]
+        key = np.uint32 if (s.stop - s.start) * n <= 1 << 32 else np.int64
+        keys = ((recv - s.start).astype(key)[:, None] * key(n) + heard.astype(key))[heard >= 0]
+        keys.sort()
+        k = max(keys.size - t + 1, 0)
+        hits = keys[:k][keys[:k] == keys[t - 1:t - 1 + k]]
+        fresh = np.ones(hits.size, dtype=bool)
+        fresh[1:] = hits[1:] != hits[:-1]
+        keys = hits[fresh].astype(np.int64) + s.start * n
         if adjacent:        # the edge keys ascend: CSR rows are sorted
             edges = recv * n + send
             pos = np.minimum(np.searchsorted(edges, keys), edges.size - 1)

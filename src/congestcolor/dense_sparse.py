@@ -108,20 +108,25 @@ def layer_schedule(network: Network, delta: int | None = None) -> LayerSchedule:
     return LayerSchedule(t_prime, t, tuple(probs), lambdas, fallback)
 
 
-def partition_layers(network: Network, clique, schedule: LayerSchedule,
+def partition_layers(network: Network, cliques, schedule: LayerSchedule,
                      seed: int = 0):
-    """Independent per-node layer draws for one clique, written to
-    `network.layer`; one announcement round so neighbors know each member's
-    layer."""
+    """Independent per-node layer draws for the disjoint `cliques`, written
+    to `network.layer`; one announcement round, in all cliques at once, so
+    each member's clique neighbors know its layer."""
+    g = network.graph
     cumulative = np.cumsum([float(p) for p in schedule.probabilities])
-    members = np.array(sorted(clique), dtype=np.int64)
+    home = np.full(g.n, -1, dtype=np.int64)
+    for i, clique in enumerate(cliques):
+        home[list(clique)] = i
+    members = np.flatnonzero(home >= 0)
     draws = Streams(seed_words([network.master_seed, _LAYER_TAG, seed],
                                members)).random(np.arange(members.size))
     network.layer[members] = np.minimum(
         np.searchsorted(cumulative, draws, side="right"), schedule.t)
-    inside = np.zeros(network.graph.n, dtype=bool)
-    inside[members] = True
-    internal = int(inside[network.graph.rows(members)[1]].sum())
+    internal = 0
+    for s in g.blocks(members):
+        at, nbrs = g.rows(members[s])
+        internal += int(np.count_nonzero(home[nbrs] == home[members[s]][at]))
     network.charge_phase("dense_partition", 1, internal,
                          (schedule.t + 1).bit_length())
 
@@ -247,10 +252,7 @@ def color_dense_nodes(network: Network, acd, overlays, seed: int = 0) -> dict:
                 "failures": 0}
 
     schedule = layer_schedule(network)
-    with network.parallel() as clique:
-        for ac in sorted(acd.cliques):
-            with clique():
-                partition_layers(network, acd.cliques[ac], schedule, seed)
+    partition_layers(network, acd.cliques.values(), schedule, seed)
     clique_of = clique_index(network, acd)
     dense = np.flatnonzero(clique_of >= 0)
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, PaletteAssignment, sorted_unique
+from .graphs import Graph, PaletteAssignment
 
 
 class SimError(RuntimeError):
@@ -618,7 +618,8 @@ class Network:
         """Color nodes[i] with colors[i], found at entry pos[i] of its
         `removed` row, and strip each color from the neighbors' lists, given
         `nbrs` = `graph.rows(nodes)[1]`. Checks nothing: the caller has made
-        the batch valid (see `assign_colors`)."""
+        the batch valid (see `assign_colors`). An entry stripped twice gives
+        one `live` count back to its owner, found in `pal_ptr`."""
         lens = self.graph.degrees[nodes]    # np.repeat(x, lens): x per (node, neighbor) pair
         self.color[nodes] = colors
         if self.trace is not None:
@@ -631,13 +632,18 @@ class Network:
         gone = self.pal_ptr[nbrs] + np.repeat(pos - self.pal_ptr[nodes], lens)
         other = np.flatnonzero(self.list_id[nbrs] != np.repeat(self.list_id[nodes], lens))
         gone[other], held = self._find(nbrs, pair_colors, other)
-        # drop the neighbors whose lists lack the color; an entry that
-        # same-colored winners strip counts once
-        gone = np.delete(gone, other[~held])
-        gone = sorted_unique(gone[~self.removed[gone]])
+        # drop removed entries and the neighbors whose lists lack the color,
+        # whose lookup may point past the pool: they read entry 0 instead
+        missed = other[~held]
+        gone[missed] = 0
+        keep = ~self.removed[gone]
+        keep[missed] = False
+        self.live -= np.bincount(nbrs[keep], minlength=self.graph.n)
+        gone = gone[keep]
+        gone.sort()
+        twice = gone[1:][gone[1:] == gone[:-1]]
+        np.add.at(self.live, np.searchsorted(self.pal_ptr, twice, side="right") - 1, 1)
         self.removed[gone] = True
-        owner = np.searchsorted(self.pal_ptr, gone, side="right") - 1
-        self.live -= np.bincount(owner, minlength=self.graph.n)
 
     def coloring(self) -> dict:
         done = np.flatnonzero(self.color >= 0)

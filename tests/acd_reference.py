@@ -206,3 +206,24 @@ def _bfs_depth(g: Graph, members: set, root: int):
             depth += 1
         frontier = nxt
     return seen, depth
+
+
+def frequent_pairs_reference(g: Graph, values, threshold: float,
+                             receivers=None, adjacent=False):
+    """`acd._frequent_pairs` in one pass over the whole edge array: every
+    (receiver r, value x) key r*n + x counted by `np.unique(return_counts=
+    True)`, the keys heard at least `threshold` times kept, and with
+    `adjacent` only those whose value is a neighbor of the receiver."""
+    n = g.n
+    values = np.asarray(values).reshape(n, -1)
+    recv, send = g.edge_src, g.indices
+    if receivers is not None:
+        keep = np.asarray(receivers, dtype=bool)[recv]
+        recv, send = recv[keep], send[keep]
+    heard = values[send]
+    keys, counts = np.unique((recv[:, None] * n + heard)[heard >= 0],
+                             return_counts=True)
+    keys = keys[counts >= threshold]
+    if adjacent:
+        keys = keys[np.isin(keys, recv * n + send)]
+    return keys

@@ -144,7 +144,7 @@ def test_partition_sizes_near_expectation():
     )
     net = net_for(g, 2, c_layer=0.25)
     schedule = layer_schedule(net)
-    partition_layers(net, range(g.n), schedule, seed=0)
+    partition_layers(net, [range(g.n)], schedule, seed=0)
     assert schedule.t >= 2
     assert sum(schedule.probabilities) == 1
     sizes = np.bincount(net.layer, minlength=schedule.t + 1)
@@ -152,6 +152,42 @@ def test_partition_sizes_near_expectation():
     lam1 = schedule.lambdas[1] * g.n / g.delta
     assert 0.3 * lam1 <= sizes[1] <= 3.0 * lam1
     assert sizes[0] > 0.8 * g.n
+
+
+def test_partition_of_several_cliques_draws_and_bills_like_one_branch_each():
+    # four planted groups joined by inter-clique edges; three are passed as
+    # cliques and the fourth stays out
+    g = generate("planted_almost_cliques",
+                 {"k": 4, "delta": 40, "removal": 0.1, "inter_p": 0.05}, seed=3)
+    size = g.n // 4
+    cliques = [set(range(i * size, (i + 1) * size)) for i in (2, 0, 1)]
+    net = net_for(g, 6, c_layer=0.25)
+    schedule = layer_schedule(net)
+    net.charge_phase("before", 2, 5, 1)
+    partition_layers(net, cliques, schedule, seed=4)
+
+    # the per-node draws
+    members = set().union(*cliques)
+    cumulative = np.cumsum([float(p) for p in schedule.probabilities])
+    for v in range(g.n):
+        want = -1
+        if v in members:
+            u = np.random.default_rng([6, dense_sparse._LAYER_TAG, 4, v]).random()
+            want = min(int(np.searchsorted(cumulative, u, side="right")), schedule.t)
+        assert net.layer[v] == want
+
+    # the ledger of one announcement branch per clique, joined
+    ref = net_for(g, 6, c_layer=0.25)
+    layer_schedule(ref)
+    ref.charge_phase("before", 2, 5, 1)
+    with ref.parallel() as clique:
+        for c in cliques:
+            with clique():
+                internal = sum(1 for v in c for u in g.neighbors(v) if u in c)
+                ref.charge_phase("dense_partition", 1, internal,
+                                 (schedule.t + 1).bit_length())
+    assert net.stats.snapshot() == ref.stats.snapshot()
+    assert any(u not in c for c in cliques for v in c for u in g.neighbors(v))
 
 
 def test_sparse_graph_fully_colored():

@@ -120,7 +120,7 @@ def test_layer_draws_equal_default_rng():
     net = new_network(g, make_palettes(g, seed=3, mode="shared"),
                       SimConfig(c_layer=0.25), 2)
     schedule = layer_schedule(net)
-    partition_layers(net, range(g.n), schedule, seed=9)
+    partition_layers(net, [range(g.n)], schedule, seed=9)
     assert schedule.t >= 2
     cumulative = np.cumsum([float(p) for p in schedule.probabilities])
     for v in range(g.n):

@@ -53,9 +53,16 @@ def twins(g, pal, seed):
             ref.use_reference(new_network(g, pal, SimConfig(), seed)))
 
 
+def recount(net):
+    """Each node's entries that are not removed."""
+    owner = np.repeat(np.arange(net.graph.n), np.diff(net.pal_ptr))
+    return np.bincount(owner[~net.removed], minlength=net.graph.n)
+
+
 def assert_same(fast, slow):
     for name in ("color", "udeg", "removed", "live"):
         assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+    assert np.array_equal(fast.live, recount(fast))
     for name in ("hi", "lo", "has32", "buf32"):
         assert np.array_equal(getattr(fast.streams, name),
                               getattr(slow.streams, name)), name
@@ -137,6 +144,31 @@ def test_same_color_winners_strip_a_shared_neighbor_once():
     assert_same(fast, slow)
     assert fast.live[1] == 2 and fast.palette(1) == [2, 3]
     assert fast.udeg.tolist() == [1, 0, 1]
+
+
+def test_an_entry_three_winners_strip_on_other_rows_counts_once():
+    # star 0 - {1, 2, 3}: the leaves all win color 1, which the center holds
+    # on its own pool row, so each leaf's strip looks the same entry up
+    g = generate("star", {"n": 4}, seed=0)
+    pal = PaletteAssignment(6, {0: frozenset({1, 2, 3}), 1: frozenset({1, 4}),
+                                2: frozenset({1, 5}), 3: frozenset({1, 6})})
+    fast, slow = twins(g, pal, 1)
+    for net in (fast, slow):
+        net.assign_colors([1, 2, 3], [1, 1, 1])
+    assert_same(fast, slow)
+    assert fast.palette(0) == [2, 3] and fast.live[0] == 2
+
+
+def test_a_missed_lookup_at_the_last_row():
+    # node 1, the last row of the pool, lacks node 0's color 9: its lookup
+    # stops at the row's end, one past the last entry, and strips nothing
+    g = generate("path", {"n": 2}, seed=0)
+    pal = PaletteAssignment(9, {0: frozenset({1, 9}), 1: frozenset({2, 3})})
+    fast, slow = twins(g, pal, 1)
+    for net in (fast, slow):
+        net.assign_colors([0], [9])
+    assert_same(fast, slow)
+    assert fast.palette(1) == [2, 3] and fast.live[1] == 2
 
 
 def test_neighbor_holding_the_color_at_another_offset():
