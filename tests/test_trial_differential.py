@@ -3,12 +3,14 @@
 `Network.assign_colors` and `trials.try_color_round` walk their rows in
 blocks, and `Network.settle` strips a winner's color from a neighbor on the
 winner's own pool row at the winner's offset, looks only the other neighbors
-up, and finds the owner of each stripped entry from `pal_ptr`;
+up, counts each stripped entry off its neighbor's live count and gives one
+back for each entry stripped twice, whose owner it finds in `pal_ptr`;
 `random_color_trial` finishes its last redrawing rows one at a time.
 `test_edge_blocks.py` runs these tests again with blocks of a few slots. On every instance, both
 forms must leave the same colors, uncolored degrees, removed masks and live
 counts, pick the same winners, leave every node's stream at the same place
-and refuse a bad batch with the same error.
+and refuse a bad batch with the same error, and every live count must equal
+a recount of the node's entries that are not removed.
 
 The lists come in three kinds: shared Δ+1 lists (one pool row), shared deg+1
 lists (several rows, each color at the same offset in all of them) and random
