@@ -9,14 +9,17 @@ minimum-ID anchor per group. All decisions use one ID (or one bit) per edge
 per round.
 
 The simulator runs the construction as array passes over the CSR arrays
-(`indptr`, `indices`, `edge_src`) in the row blocks of `Graph.blocks`: a
-block's gossip multiplicities are counted by one sort of its (receiver, ID)
-keys, whose runs give the keys heard often enough, and its F-edges looked up
-in its own rows' edge keys, and the groups' connectivity, depth and internal
-degrees come from one multi-source BFS that expands each level's frontier a
-block at a time. Node streams are drawn in a fixed per-node order: one draw
-for S-membership, then one pick and one forwarding coin per gossip
-repetition, so the result does not depend on how the passes are arranged.
+(`indptr`, `indices`, and a block's tails from `Graph.tails`) in the row
+blocks of `Graph.blocks`, so that no pass holds more than one block's edge
+temporaries beside arrays of one entry per node: a block's sampled
+neighbors are found in its own rows, its gossip multiplicities counted by
+one sort of its (receiver, ID) keys, whose runs give the keys heard often
+enough, and its F-edges looked up in its own rows' edge keys; the groups'
+connectivity, depth and internal degrees come from one multi-source BFS
+that expands each level's frontier a block at a time. Node streams are
+drawn in a fixed per-node order: one draw for S-membership, then one pick
+and one forwarding coin per gossip repetition, so the result does not
+depend on how the passes are arranged.
 """
 
 from __future__ import annotations
@@ -109,19 +112,14 @@ def compute_acd(network: Network) -> AlmostCliqueDecomposition:
     forward_p = min(1.0, exp_s_deg / (2.0 * sqrt_d))
     exp_count = reps * big_d * forward_p / exp_s_deg  # per friend edge
 
-    # step 1: sample S
+    # step 1: sample S; everyone learns which neighbors are sampled (one bit
+    # per edge), a row block at a time
     in_s = network.streams.random(np.arange(n)) < p_s
-    # everyone learns which neighbors are sampled (one bit per edge); the
-    # sampled neighbors of v are s_nbrs[s_ptr[v]:s_ptr[v + 1]], ascending
-    s_edge = in_s[g.indices]
-    s_nbrs = g.indices[s_edge]
+    blocks = list(g.blocks(np.arange(n)))
     s_deg = np.zeros(n, dtype=np.int64)
-    for s in g.blocks(np.arange(n)):
-        a, b = g.indptr[s.start], g.indptr[s.stop]
-        s_deg[s] = np.bincount(g.edge_src[a:b][s_edge[a:b]] - s.start,
-                               minlength=s.stop - s.start)
-    s_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(s_deg, out=s_ptr[1:])
+    for s in blocks:
+        sampled = in_s[g.indices[g.indptr[s.start]:g.indptr[s.stop]]]
+        s_deg[s] = np.bincount(g.tails(s)[sampled] - s.start, minlength=s.stop - s.start)
     network.charge_phase("acd_sample", 1, 2 * g.m, 1)
 
     # step 2: per repetition, every node with a sampled neighbor picks one
@@ -135,10 +133,17 @@ def compute_acd(network: Network) -> AlmostCliqueDecomposition:
         picks[:, r] = network.streams.integers(senders, s_deg[senders])
         coins[:, r] = network.streams.random(senders)
     forwards = coins < np.minimum(1.0, s_deg[senders] / (2.0 * sqrt_d))[:, None]
-    # sent[v, r]: the ID v forwarded in repetition r, -1 if it stayed silent
-    sent = np.full((n, reps), -1, dtype=np.int64)
-    sent[senders] = np.where(forwards, s_nbrs[s_ptr[senders][:, None] + picks], -1)
     gossip_msgs = int((forwards.sum(axis=1) * s_deg[senders]).sum())
+    # sent[v, r]: the ID v forwarded in repetition r, -1 if it stayed silent;
+    # a pick indexes v's sampled neighbors, ascending, found in v's block
+    sent = np.full((n, reps), -1, dtype=np.int64)
+    s_ptr = np.cumsum(s_deg) - s_deg
+    for s in blocks:
+        nbrs = g.indices[g.indptr[s.start]:g.indptr[s.stop]]
+        i, j = np.searchsorted(senders, (s.start, s.stop))
+        at = s_ptr[senders[i:j], None] - s_ptr[s.start] + picks[i:j]
+        sent[senders[i:j]] = np.where(forwards[i:j], nbrs[in_s[nbrs]][at], -1)
+    del picks, coins, forwards
     network.charge_phase("acd_gossip", reps, gossip_msgs, id_bits)
 
     # step 3: a sampled node detects the IDs it heard often enough; step 4:
@@ -148,6 +153,7 @@ def compute_acd(network: Network) -> AlmostCliqueDecomposition:
     network.charge_phase("acd_fedges", 1, int(notified.size), 1)
     u, w = np.divmod(notified, n)
     f_u, f_w = np.divmod(sorted_unique(np.minimum(u, w) * n + np.maximum(u, w)), n)
+    del notified, u, w
     f_src = np.concatenate([f_u, f_w])  # both directions of every F-edge
     f_dst = np.concatenate([f_w, f_u])
 
@@ -161,6 +167,7 @@ def compute_acd(network: Network) -> AlmostCliqueDecomposition:
     proposal = np.full(n, n, dtype=np.int64)
     np.minimum.at(proposal, f_src[core], f_dst[core])
     proposal[proposal == n] = -1
+    del f_src, f_dst, core
     bc_msgs = int(g.degrees[proposal >= 0].sum())
     network.charge_phase("acd_anchor", 1, bc_msgs, id_bits)
 
@@ -250,7 +257,7 @@ def _frequent_pairs(g: Graph, values, threshold: float, receivers=None,
     found = [np.empty(0, dtype=np.int64)]
     for s in g.blocks(np.arange(n)):
         a, b = g.indptr[s.start], g.indptr[s.stop]
-        recv, send = g.edge_src[a:b], g.indices[a:b]
+        recv, send = g.tails(s), g.indices[a:b]
         if receivers is not None:
             keep = receivers[recv]
             recv, send = recv[keep], send[keep]

@@ -26,9 +26,9 @@ class Graph:
     """Immutable simple undirected graph.
 
     Nodes are 0..n-1. The CSR arrays are the only adjacency: v's neighbors
-    are `indices[indptr[v]:indptr[v + 1]]`, ascending, `edge_src` is the tail
-    of each directed edge (aligned with `indices`), and `degrees` the row
-    lengths. `edges` is an (m, 2) integer array or any iterable of pairs.
+    are `indices[indptr[v]:indptr[v + 1]]`, ascending, and `degrees` the row
+    lengths; `tails(s)` gives a row block's tails. `edges` is an (m, 2)
+    integer array or any iterable of pairs.
     """
 
     def __init__(self, n: int, edges):
@@ -39,18 +39,20 @@ class Graph:
             raise GraphError("edges must be pairs of integer node ids")
         u, v = e.reshape(-1, 2).astype(np.int64, copy=False).T
         bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
-        # both directions of every edge, sorted by (tail, head)
-        keys = np.concatenate((u * n + v, v * n + u))
-        keys.sort()
-        if bad.any() or (keys[1:] == keys[:-1]).any():
+        if bad.any():
             _reject(n, u, v, bad)
         self.n = n
-        self.m = len(u)
-        del e, u, v
-        # the heads overwrite the keys: no temporary as large as the keys
-        self.edge_src = keys // n
+        self.m = m = len(u)
+        self.degrees = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+        # both directions of every edge in one buffer, sorted by (tail, head);
+        # the heads then overwrite the keys
+        keys = np.empty(2 * m, dtype=np.int64)
+        np.add(np.multiply(u, n, out=keys[:m]), v, out=keys[:m])
+        np.add(np.multiply(v, n, out=keys[m:]), u, out=keys[m:])
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
+            _reject(n, u, v, bad)
         self.indices = np.remainder(keys, n, out=keys)
-        self.degrees = np.bincount(self.edge_src, minlength=n)
         self.delta = int(self.degrees.max())
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.degrees, out=self.indptr[1:])
@@ -74,6 +76,11 @@ class Graph:
         lens = self.indptr[nodes + 1] - lo
         slots = np.arange(int(lens.sum())) + np.repeat(lo - np.cumsum(lens) + lens, lens)
         return np.repeat(np.arange(len(nodes)), lens), self.indices[slots]
+
+    def tails(self, s):
+        """The tail of each CSR slot in the rows of the node slice `s`,
+        aligned with `indices[indptr[s.start]:indptr[s.stop]]`."""
+        return np.repeat(np.arange(s.start, s.stop), self.degrees[s])
 
     def blocks(self, nodes):
         """Slices of `nodes`, in order, whose CSR rows together hold at most
@@ -111,11 +118,6 @@ class Graph:
                     break
             frontier = nxt
         return dist
-
-    def edges(self):
-        """Every edge once, as (u, v) with u < v, ascending."""
-        up = self.edge_src < self.indices
-        return zip(self.edge_src[up].tolist(), self.indices[up].tolist())
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m}, delta={self.delta})"
@@ -477,7 +479,7 @@ def verify_coloring(
     mono_edges = []
     for s in graph.blocks(np.arange(n)):
         a, b = graph.indptr[s.start], graph.indptr[s.stop]
-        src, dst = graph.edge_src[a:b], graph.indices[a:b]
+        src, dst = graph.tails(s), graph.indices[a:b]
         mono = (src < dst) & colored[src] & colored[dst] & (col[src] == col[dst])
         mono_edges += zip(src[mono].tolist(), dst[mono].tolist())
     off_list = nodes[~palettes.find(palettes.node_rows(n)[nodes], col[nodes])[1]].tolist()

@@ -81,9 +81,12 @@ def shatter(network: Network, subgraph) -> list:
 
     def udeg(nodes):
         """Uncolored neighbors inside the subgraph, per node."""
-        src, nbrs = g.rows(nodes)
-        keep = in_h[nbrs] & (network.color[nbrs] < 0)
-        return np.bincount(src[keep], minlength=len(nodes))
+        out = np.zeros(len(nodes), dtype=np.int64)
+        for s in g.blocks(nodes):
+            src, nbrs = g.rows(nodes[s])
+            keep = in_h[nbrs] & (network.color[nbrs] < 0)
+            out[s] = np.bincount(src[keep], minlength=s.stop - s.start)
+        return out
 
     iters = K6 * max(1, math.ceil(math.log2(max(2, udeg(h).max()))))
     survivors = np.array(trial_loop(network, h, iters, "small_shatter"),

@@ -20,6 +20,7 @@ from congestcolor import acd
 from congestcolor.acd import AlmostCliqueDecomposition
 from congestcolor.graphs import Graph
 from congestcolor.sim import Network, SimError
+from graph_oracles import edge_tails
 from stream_checkout import generators
 
 
@@ -216,7 +217,7 @@ def frequent_pairs_reference(g: Graph, values, threshold: float,
     `adjacent` only those whose value is a neighbor of the receiver."""
     n = g.n
     values = np.asarray(values).reshape(n, -1)
-    recv, send = g.edge_src, g.indices
+    recv, send = edge_tails(g), g.indices
     if receivers is not None:
         keep = np.asarray(receivers, dtype=bool)[recv]
         recv, send = recv[keep], send[keep]

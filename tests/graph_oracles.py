@@ -1,10 +1,10 @@
 """Brute-force references over a `Graph`: the per-edge loop constructor and
 the edge-list generators that `Graph` and `graphs.generate` are checked
-against, the writers whose files `graphs.load_edge_list` and
-`graphs.load_palettes` read back, local sparsity, the similarity oracle, the
-diameter of an induced subgraph, a sequential greedy list coloring, and the
-per-edge loop form of `graphs.verify_coloring` that the array version is
-checked against."""
+against, a graph's tails and edge list derived from its CSR, the writers
+whose files `graphs.load_edge_list` and `graphs.load_palettes` read back,
+local sparsity, the similarity oracle, the diameter of an induced subgraph,
+a sequential greedy list coloring, and the per-edge loop form of
+`graphs.verify_coloring` that the array version is checked against."""
 
 from fractions import Fraction
 
@@ -46,15 +46,30 @@ class ReferenceGraph:
         self.edge_src = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
 
     def edges(self):
+        """Every edge once, as (u, v) with u < v, ascending."""
         for u in range(self.n):
             for v in self.rows[u]:
                 if u < v:
                     yield (u, v)
 
 
+def edge_tails(graph):
+    """The tail of every CSR slot of `graph`, aligned with its `indices`,
+    derived from the row lengths."""
+    return np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)
+
+
+def graph_edges(graph):
+    """Every edge of a `Graph` (or `ReferenceGraph`) once, as (u, v) with
+    u < v, ascending."""
+    tails = edge_tails(graph)
+    up = tails < graph.indices
+    return zip(tails[up].tolist(), graph.indices[up].tolist())
+
+
 def save_edge_list(graph) -> str:
     lines = [f"p edge {graph.n} {graph.m}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in graph.edges())
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in graph_edges(graph))
     return "\n".join(lines) + "\n"
 
 
@@ -176,7 +191,7 @@ def verify_coloring_reference(graph, palettes, coloring: dict,
     """One Python step per edge and per node."""
     mono = []
     off_list = []
-    for u, v in graph.edges():
+    for u, v in graph_edges(graph):
         cu, cv = coloring.get(u), coloring.get(v)
         if cu is not None and cu == cv:
             mono.append((u, v))

@@ -1,17 +1,18 @@
 """The array-built `Graph` and `graphs.generate` against the loop constructor
 and the edge-list generators of `graph_oracles`: the same CSR arrays, the
-same counts, the same edge order and the same rejection messages."""
+same tails, the same counts, the same edge order and the same rejection
+messages."""
 
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from congestcolor.graphs import Graph, GraphError, generate
-from graph_oracles import ReferenceGraph, reference_generate
+from graph_oracles import ReferenceGraph, edge_tails, graph_edges, reference_generate
 
-CSR = ("indptr", "indices", "edge_src", "degrees")
+CSR = ("indptr", "indices", "degrees")
 
 
 def assert_same_graph(g, ref):
@@ -19,8 +20,11 @@ def assert_same_graph(g, ref):
         got, want = getattr(g, name), getattr(ref, name)
         assert got.dtype == want.dtype == np.int64, name
         assert np.array_equal(got, want), name
+    # the tails derived from the row lengths, whole and through `Graph.tails`
+    assert np.array_equal(edge_tails(g), ref.edge_src)
+    assert np.array_equal(g.tails(slice(0, g.n)), ref.edge_src)
     assert (g.n, g.m, g.delta) == (ref.n, ref.m, ref.delta)
-    assert list(g.edges()) == list(ref.edges())
+    assert list(graph_edges(g)) == list(ref.edges())
     for v in range(g.n):
         assert g.neighbors(v) == list(ref.rows[v])
         assert g.degree(v) == len(ref.rows[v])
@@ -135,3 +139,23 @@ def test_generators_match_edge_list_generators(model, params):
     for seed in range(4):
         assert_same_graph(generate(model, params, seed),
                           reference_generate(model, params, seed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists(), st.data())
+@example((1, []), None)
+@example((5, [(0, 4)]), None)
+def test_tails_match_reference_over_row_ranges(case, data):
+    """`Graph.tails` of a random row range, of all rows and of empty
+    ranges, against the loop constructor's tails of the same slots, on
+    graphs with isolated nodes (empty rows) anywhere."""
+    n, edges = case
+    g, ref = Graph(n, edges), ReferenceGraph(n, edges)
+    ranges = [(0, n), (0, 0), (n, n)]
+    if data is not None:
+        a = data.draw(st.integers(0, n), label="a")
+        ranges += [(a, data.draw(st.integers(a, n), label="b")), (a, a)]
+    for a, b in ranges:
+        got = g.tails(slice(a, b))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref.edge_src[ref.indptr[a]:ref.indptr[b]])

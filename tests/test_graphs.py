@@ -18,6 +18,7 @@ from congestcolor.graphs import (
     verify_coloring,
 )
 from graph_oracles import (
+    graph_edges,
     greedy_list_coloring,
     local_sparsity,
     save_edge_list,
@@ -195,7 +196,7 @@ def test_bfs_matches_shortest_paths_on_induced_subgraph(case):
     members = sorted(within)
     index = {v: i for i, v in enumerate(members)}
     adj = np.zeros((len(members), len(members)))
-    for u, v in g.edges():
+    for u, v in graph_edges(g):
         if u in index and v in index:
             adj[index[u], index[v]] = adj[index[v], index[u]] = 1
     hops = shortest_path(csr_matrix(adj), unweighted=True, indices=index[root])

@@ -14,6 +14,7 @@ from congestcolor.overlay import (
     verify_overlay,
 )
 from congestcolor.sim import SimError, new_network
+from graph_oracles import graph_edges
 
 
 def dump_overlay(overlay: CliqueOverlay) -> str:
@@ -30,7 +31,7 @@ def net_for(g, seed=0, **cfg):
 
 
 def remove_edges(g, drop):
-    return Graph(g.n, [e for e in g.edges() if e not in set(drop)])
+    return Graph(g.n, [e for e in graph_edges(g) if e not in set(drop)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -172,7 +173,7 @@ def test_route_adjacent_single_round():
     g = generate("complete", {"n": 8}, seed=0)
     net = net_for(g)
     ov = compute_overlay(net, range(8), 0, epsilon=0.05)
-    reqs = [RoutingRequest(u, v) for u, v in g.edges()]
+    reqs = [RoutingRequest(u, v) for u, v in graph_edges(g)]
     assert route(net, ov, reqs) == 1
 
 

@@ -21,6 +21,7 @@ from congestcolor.graphs import Graph, generate, make_palettes
 from congestcolor import overlay
 from congestcolor.overlay import compute_overlay
 from congestcolor.sim import SimError, Streams, new_network
+from graph_oracles import graph_edges
 
 
 def outcome(compute, g, cliques, seed, epsilon=0.05, through_acd=False, **cfg):
@@ -63,7 +64,7 @@ def whole(g):
 
 
 def without(g, drop):
-    return Graph(g.n, [e for e in g.edges() if e not in set(drop)])
+    return Graph(g.n, [e for e in graph_edges(g) if e not in set(drop)])
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -20,7 +20,7 @@ from congestcolor.graphs import (
 from congestcolor.harness import run_pipeline
 from congestcolor.sim import SimError, new_network
 import small_degree_reference as reference
-from graph_oracles import induced_diameter
+from graph_oracles import graph_edges, induced_diameter
 from congestcolor.small_degree import (
     ClusterDecomposition,
     _evaluation_point,
@@ -294,7 +294,7 @@ def test_stale_colormap_recertified():
     # a block of the graph gets colored between certification and use; the
     # map must be re-derived for the shrunken lists, and coloring still lands
     g = generate("complete", {"n": 12}, seed=4)
-    extra = Graph(13, list(g.edges()) + [(11, 12)])
+    extra = Graph(13, list(graph_edges(g)) + [(11, 12)])
     pal = make_palettes(extra, seed=5)
     net = new_network(extra, pal, SimConfig(), 4)
     decomp, cluster = single_cluster(net, range(12))

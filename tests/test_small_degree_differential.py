@@ -21,6 +21,7 @@ from congestcolor import dense_sparse, harness, small_degree
 from congestcolor.config import SimConfig
 from congestcolor.graphs import Graph, PaletteAssignment, generate, make_palettes
 from congestcolor.sim import SimError, new_network
+from graph_oracles import graph_edges
 from test_bill_pinned import PINNED
 
 LISTS = {
@@ -113,7 +114,7 @@ def test_stale_colormap_rederived_like_the_reference():
     runs = []
     for impl in (small_degree, reference):
         g = generate("complete", {"n": 12}, seed=4)
-        extra = Graph(13, list(g.edges()) + [(11, 12)])
+        extra = Graph(13, list(graph_edges(g)) + [(11, 12)])
         net = new_network(extra, make_palettes(extra, seed=5), SimConfig(), 4)
         decomp = small_degree.decompose_clusters(net, range(12), r_cluster=13)
         (cluster,) = decomp.all_clusters()
